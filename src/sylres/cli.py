@@ -150,10 +150,27 @@ def _cmd_schur(args) -> int:
     return 0
 
 
+def _load_replay(path: str) -> dict:
+    """The record in a replay file: {"suite": ..., "instance": {...}}."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read replay file: {exc}")
+    except ValueError as exc:
+        raise ParseError(f"replay file {path} is not valid JSON: {exc}")
+    if (not isinstance(record, dict)
+            or not isinstance(record.get("instance"), dict)
+            or not isinstance(record.get("suite", ""), str)):
+        raise ValidationError(
+            f'replay file {path} must hold {{"suite": "...", '
+            f'"instance": {{...}}}}')
+    return record
+
+
 def _cmd_verify(args) -> int:
     if args.replay:
-        with open(args.replay) as fh:
-            record = json.load(fh)
+        record = _load_replay(args.replay)
         suite = record.get("suite", args.suite)
         result = replay(suite, record["instance"])
         print(json.dumps(result, sort_keys=True) if args.json

@@ -121,13 +121,18 @@ class RootMultiset:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RootMultiset":
-        if not isinstance(obj, dict) or "roots" not in obj:
+        if (not isinstance(obj, dict)
+                or not isinstance(obj.get("roots"), list)):
             raise ValidationError('multiset JSON must be {"roots": [...]}')
         pairs = []
         for item in obj["roots"]:
             if not isinstance(item, dict) or "value" not in item:
                 raise ValidationError("each root needs a value")
-            pairs.append((item["value"], item.get("mult", 1)))
+            mult = item.get("mult", 1)
+            if not isinstance(mult, int) or isinstance(mult, bool):
+                raise ValidationError(
+                    f"multiplicity must be an integer, got {mult!r}")
+            pairs.append((item["value"], mult))
         return cls(pairs)
 
     def to_shorthand(self) -> str:

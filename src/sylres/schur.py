@@ -1,10 +1,21 @@
-"""Classical and confluent Schur polynomials as exact determinant ratios.
+"""Classical and confluent Schur polynomials, evaluated exactly.
 
 S_k^(R)(X) = det(V_k(X) with rows R removed) / det(V(X)), where V is the
-(confluent) Vandermonde matrix of the point multiset X. Equal point values
-are merged into one confluent block by the multiset representation, which is
-what keeps the denominator nonzero. With a symbolic extra point the ratio is
-computed as an exact polynomial division, which never leaves a remainder.
+(confluent) Vandermonde matrix of the point multiset X and row i of V_k
+carries exponent k-i. The ratio is the Schur function s_lambda at the points
+of X, repeated by multiplicity: with eps_1 > ... > eps_r the kept exponents,
+lambda_j = eps_j - (r-j), so lambda_1 <= |R|.
+
+Values come from the dual Jacobi-Trudi identity s_lambda = det(e_{lambda'_i
+- i + j}) on the elementary symmetric values e_j(X), a determinant of side
+lambda_1 (Macdonald, Symmetric Functions and Hall Polynomials, I.3). With one
+symbolic extra point x the branching rule gives the polynomial:
+s_lambda(X + x) = sum of s_mu(X) x^{|lambda/mu|} over the mu for which
+lambda/mu is a horizontal strip.
+
+The determinant ratio itself is `schur_vandermonde_ratio`, the reference of
+`schur_consistency_check`. With the symbolic point it is an exact polynomial
+division, which must leave no remainder.
 """
 
 from __future__ import annotations
@@ -12,14 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from itertools import product
+from typing import Sequence, Tuple, Union
 
 from .errors import EmptyPoints, InconsistentRemovalCount
 from .linalg import (MatrixQ, det_p, det_q, remove_rows,
                      vandermonde_confluent, vandermonde_confluent_with_x)
 from .poly import Poly
-from .rationals import Q1
+from .rationals import Q0, Q1
 from .rootsets import RootMultiset
+
+# Entries kept by each cache below. Unbounded, the caches grow with every
+# distinct spec a process sees.
+SCHUR_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -42,7 +58,34 @@ class SchurSpec:
                 f"removed rows {self.removed} outside 1..{self.k}")
 
 
-@lru_cache(maxsize=None)
+def _partition(spec: SchurSpec, rows: int) -> Tuple[int, ...]:
+    """lambda_j = eps_j - (rows - j) over the kept exponents eps_j."""
+    drop = set(spec.removed)
+    kept = [spec.k - i for i in range(1, spec.k + 1) if i not in drop]
+    return tuple(e - (rows - j) for j, e in enumerate(kept, start=1))
+
+
+# sylm asks for many row removals on the same points.
+@lru_cache(maxsize=SCHUR_CACHE_SIZE)
+def _elementary(points: RootMultiset) -> Tuple[Fraction, ...]:
+    """(e_0, ..., e_r) of the points: prod (x - a) = sum (-1)^j e_j x^(r-j)."""
+    coeffs = Poly.from_roots(points.values()).coeffs
+    return tuple(-c if j % 2 else c for j, c in enumerate(reversed(coeffs)))
+
+
+def _dual_jacobi_trudi(lam: Sequence[int], e: Sequence[Fraction]) -> Fraction:
+    """s_lambda = det(e_{lambda'_i - i + j}), of side lambda_1."""
+    side = lam[0] if lam else 0
+    conj = [sum(1 for p in lam if p > i) for i in range(side)]
+
+    def entry(t: int) -> Fraction:
+        return e[t] if 0 <= t < len(e) else Q0
+
+    return det_q(MatrixQ([[entry(conj[i] - i + j) for j in range(side)]
+                          for i in range(side)]))
+
+
+@lru_cache(maxsize=SCHUR_CACHE_SIZE)
 def schur_value(spec: SchurSpec) -> Fraction:
     """Confluent Schur value det(V_k^(R)(X)) / det(V(X))."""
     if spec.with_x:
@@ -52,22 +95,45 @@ def schur_value(spec: SchurSpec) -> Fraction:
         if spec.k == 0:
             return Q1  # empty-determinant convention
         raise EmptyPoints("no points: denominator Vandermonde is undefined")
-    num = det_q(remove_rows(vandermonde_confluent(spec.k, spec.points),
-                            spec.removed))
-    den = det_q(vandermonde_confluent(r, spec.points))
-    return num / den
+    return _dual_jacobi_trudi(_partition(spec, r), _elementary(spec.points))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCHUR_CACHE_SIZE)
 def schur_poly_x(spec: SchurSpec) -> Poly:
     """S_k^(R)(X with one symbolic point), as an exact polynomial."""
     if not spec.with_x:
         raise ValueError("spec.with_x must be set")
+    lam = _partition(spec, spec.points.size + 1)
+    e = _elementary(spec.points)
+    size = sum(lam)
+    coeffs = [Q0] * (size + 1)
+    strips = [range(lam[j + 1], lam[j] + 1) for j in range(len(lam) - 1)]
+    for mu in product(*strips):
+        coeffs[size - sum(mu)] += _dual_jacobi_trudi(mu, e)
+    return Poly(coeffs)
+
+
+def schur_vandermonde_ratio(spec: SchurSpec) -> Union[Fraction, Poly]:
+    """det(V_k^(R)(X)) / det(V(X)) from the two confluent determinants.
+
+    With spec.with_x the determinants are polynomials and the quotient is
+    an exact division that raises NotDivisible on a nonzero remainder.
+    Uncached and slower than schur_value; the consistency check's reference.
+    """
     r = spec.points.size
-    num = det_p(remove_rows(vandermonde_confluent_with_x(spec.k, spec.points),
+    if spec.with_x:
+        num = det_p(remove_rows(
+            vandermonde_confluent_with_x(spec.k, spec.points), spec.removed))
+        den = det_p(vandermonde_confluent_with_x(r + 1, spec.points))
+        return num.exact_div(den)
+    if r == 0:
+        if spec.k == 0:
+            return Q1
+        raise EmptyPoints("no points: denominator Vandermonde is undefined")
+    num = det_q(remove_rows(vandermonde_confluent(spec.k, spec.points),
                             spec.removed))
-    den = det_p(vandermonde_confluent_with_x(r + 1, spec.points))
-    return num.exact_div(den)
+    den = det_q(vandermonde_confluent(r, spec.points))
+    return num / den
 
 
 def schur_classical_ratio(k: int, removed: Sequence[int],
@@ -89,10 +155,17 @@ def schur_classical_ratio(k: int, removed: Sequence[int],
 
 
 def schur_consistency_check(k: int, removed: Sequence[int],
-                            points: RootMultiset) -> bool:
-    """Confluent path equals the classical ratio when all points are simple."""
-    if not points.is_set():
-        raise ValueError("consistency check needs an all-multiplicity-1 multiset")
-    confluent = schur_value(SchurSpec(k, tuple(removed), points))
-    classical = schur_classical_ratio(k, removed, points.values())
-    return confluent == classical
+                            points: RootMultiset,
+                            with_x: bool = False) -> bool:
+    """schur_value (or schur_poly_x) equals the confluent determinant ratio.
+
+    When the points are all simple and there is no symbolic point, the value
+    must also equal the classical bialternant ratio.
+    """
+    spec = SchurSpec(k, tuple(removed), points, with_x)
+    value = schur_poly_x(spec) if with_x else schur_value(spec)
+    if value != schur_vandermonde_ratio(spec):
+        return False
+    if with_x or not points.is_set():
+        return True
+    return value == schur_classical_ratio(k, removed, points.values())

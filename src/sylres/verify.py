@@ -442,6 +442,12 @@ def _check_lemma34(inst: dict) -> dict:
 
 
 def _gen_schur_consistency(cfg: FuzzConfig):
+    """`count` specs on point sets, then `count` on true multisets.
+
+    Every second multiset spec adjoins the symbolic point, so the exact
+    polynomial division of the reference ratio is checked for a zero
+    remainder.
+    """
     rng = random.Random(cfg.seed)
     for _ in range(cfg.count):
         r = rng.randint(1, 5)
@@ -450,12 +456,22 @@ def _gen_schur_consistency(cfg: FuzzConfig):
         points = RootMultiset.from_values(
             _sample_distinct(rng, r, cfg.coeff_bound))
         yield {"k": k, "removed": list(removed),
-               "points": points.to_shorthand()}
+               "points": points.to_shorthand(), "with_x": False}
+    for i in range(cfg.count):
+        with_x = i % 2 == 1
+        r = rng.randint(2, 6)
+        points = _rand_multiset(rng, r, cfg.coeff_bound, force_repeat=True)
+        rows = r + with_x
+        k = rng.randint(rows, rows + 3)
+        removed = tuple(sorted(rng.sample(range(1, k + 1), k - rows)))
+        yield {"k": k, "removed": list(removed),
+               "points": points.to_shorthand(), "with_x": with_x}
 
 
 def _check_schur_consistency(inst: dict) -> dict:
     points = parse_multiset(inst["points"])
-    ok = schur_consistency_check(inst["k"], tuple(inst["removed"]), points)
+    ok = schur_consistency_check(inst["k"], tuple(inst["removed"]), points,
+                                 with_x=inst.get("with_x", False))
     return {"ok": ok}
 
 

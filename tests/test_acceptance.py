@@ -27,9 +27,7 @@ def _gate(number, label, names, cfg, budget):
 
 def test_01_determinant_vs_multiset_sum():
     # 200 seeded instances, degrees up to 6, repeated and shared roots
-    # included, every admissible d per instance. The symbolic-x exact
-    # divisions inside every sylm term are asserted inline by exact_div,
-    # so this also discharges the zero-remainder half of criterion 8.
+    # included, every admissible d per instance
     _gate(1, "sres_det == signed sylm", ["thm14"],
           FuzzConfig(seed=42, count=200, max_deg=6), 60.0)
 
@@ -75,8 +73,9 @@ def test_07_sign_lemma_exhaustive():
 
 
 def test_08_schur_consistency():
-    # confluent determinant path vs classical alternant ratio on 50
-    # random specs; the symbolic-x zero-remainder half of this criterion
-    # is asserted inline during criterion 1 (see test_01)
+    # 100 specs: Jacobi-Trudi values vs the confluent determinant ratio,
+    # and vs the classical alternant ratio on the 50 point sets; of the 50
+    # true multisets, 25 adjoin a symbolic x, whose reference ratio is an
+    # exact polynomial division that must leave a zero remainder
     _gate(8, "schur value consistency", ["schur-consistency"],
           FuzzConfig(seed=42, count=50), 30.0)

@@ -131,6 +131,16 @@ class TestParseErrors:
                        "-g", "1,1", "-d", "0")
         assert rc == 2
 
+    @pytest.mark.parametrize("points", [
+        '{"roots": 5}',
+        '{"roots": [{"value": "2", "mult": "x"}, {"value": "5"}]}',
+    ])
+    def test_bad_multiset_json(self, capsys, points):
+        rc, _, err = run(capsys, "schur", "-k", "3", "-R", "2",
+                         "--points", points)
+        assert rc == 2
+        assert err.startswith("error:")
+
     def test_repeated_value_merges(self, capsys):
         # 2:1,2:1 is the same multiset as 2:2
         rc, out, _ = run(capsys, "sylm", "-a", "0:1,1:2",
@@ -162,6 +172,19 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "thm14", "--replay", str(path))
         assert rc == 0
         assert out.startswith("replay thm14: PASS")
+
+    @pytest.mark.parametrize("content", [
+        '{"suite": "thm14"}',
+        '[{"a": "0:1,1:2", "b": "2:2"}]',
+        '{"suite": "thm14", "instance":',
+    ])
+    def test_replay_bad_record(self, capsys, tmp_path, content):
+        path = tmp_path / "inst.json"
+        path.write_text(content)
+        rc, out, err = run(capsys, "verify", "thm14", "--replay", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

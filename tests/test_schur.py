@@ -2,12 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylres.errors import EmptyPoints, InconsistentRemovalCount
 from sylres.poly import Poly
 from sylres.rootsets import RootMultiset
-from sylres.schur import (SchurSpec, schur_classical_ratio,
-                          schur_consistency_check, schur_poly_x, schur_value)
+from sylres.schur import (SCHUR_CACHE_SIZE, SchurSpec, _elementary,
+                          schur_classical_ratio, schur_consistency_check,
+                          schur_poly_x, schur_value, schur_vandermonde_ratio)
 
 
 def RM(*pairs):
@@ -16,8 +19,9 @@ def RM(*pairs):
 
 class TestSchurValue:
     def test_no_removal_is_one(self):
-        x = RM((1, 1), (4, 2))
-        assert schur_value(SchurSpec(3, (), x)) == 1
+        # k = r
+        spec = SchurSpec(3, (), RM((1, 1), (4, 2)))
+        assert schur_value(spec) == 1 == schur_vandermonde_ratio(spec)
 
     def test_e1_of_two_points(self):
         # k=3, remove row 2: (a^2 - b^2)/(a - b) = a + b
@@ -29,11 +33,15 @@ class TestSchurValue:
         assert schur_value(SchurSpec(3, (1,), x)) == 1
 
     def test_empty_points_k0(self):
-        assert schur_value(SchurSpec(0, (), RootMultiset.empty())) == 1
+        spec = SchurSpec(0, (), RootMultiset.empty())
+        assert schur_value(spec) == 1 == schur_vandermonde_ratio(spec)
 
     def test_empty_points_rejected(self):
+        spec = SchurSpec(2, (1, 2), RootMultiset.empty())
         with pytest.raises(EmptyPoints):
-            schur_value(SchurSpec(2, (1, 2), RootMultiset.empty()))
+            schur_value(spec)
+        with pytest.raises(EmptyPoints):
+            schur_vandermonde_ratio(spec)
 
     def test_removal_count_enforced(self):
         with pytest.raises(InconsistentRemovalCount):
@@ -100,6 +108,69 @@ class TestConsistency:
 
     def test_classical_ratio_direct(self):
         assert schur_classical_ratio(3, (2,), (F(2), F(5))) == 7
+
+    def test_multiset(self):
+        assert schur_consistency_check(6, (2, 5), RM((1, 2), (-3, 1), (4, 1)))
+
+    def test_multiset_with_x(self):
+        assert schur_consistency_check(7, (1, 4), RM((2, 3), (1, 1)),
+                                       with_x=True)
+
+
+class TestEdgeCases:
+    def test_empty_partition_after_removal(self):
+        # removing the top rows leaves exponents r-1..0: lambda is empty
+        spec = SchurSpec(5, (1, 2), RM((3, 2), (-1, 1)))
+        assert schur_value(spec) == 1 == schur_vandermonde_ratio(spec)
+
+    def test_with_x_no_points(self):
+        # one symbolic point and row 2 of 4 kept: x^2
+        spec = SchurSpec(4, (1, 3, 4), RootMultiset.empty(), with_x=True)
+        assert schur_poly_x(spec) == Poly.monomial(2)
+        assert schur_vandermonde_ratio(spec) == Poly.monomial(2)
+
+    def test_with_x_empty_partition(self):
+        spec = SchurSpec(4, (1,), RM((5, 2)), with_x=True)
+        assert schur_poly_x(spec) == Poly.one()
+
+
+@st.composite
+def schur_specs(draw):
+    """|X| <= 6 with multiplicity <= 3, |R| <= 4, half with a symbolic x."""
+    with_x = draw(st.booleans())
+    values = draw(st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+        min_size=0 if with_x else 1, max_size=6, unique=True))
+    pairs, size = [], 0
+    for v in values:
+        if size == 6:
+            break
+        mult = draw(st.integers(min_value=1, max_value=min(3, 6 - size)))
+        pairs.append((v, mult))
+        size += mult
+    rows = size + with_x
+    k = rows + draw(st.integers(min_value=0, max_value=4))
+    removed = draw(st.lists(st.integers(min_value=1, max_value=k),
+                            min_size=k - rows, max_size=k - rows,
+                            unique=True))
+    return SchurSpec(k, tuple(removed), RootMultiset(pairs), with_x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(schur_specs())
+def test_dual_jacobi_trudi_matches_vandermonde_ratio(spec):
+    got = schur_poly_x(spec) if spec.with_x else schur_value(spec)
+    assert got == schur_vandermonde_ratio(spec)
+
+
+def test_caches_stay_within_bound():
+    for v in range(SCHUR_CACHE_SIZE + 10):
+        point = RM((F(v, 7919), 1))
+        schur_value(SchurSpec(1, (), point))
+        schur_poly_x(SchurSpec(2, (), point, with_x=True))
+    for cached in (schur_value, schur_poly_x, _elementary):
+        assert cached.cache_info().maxsize == SCHUR_CACHE_SIZE
+        assert cached.cache_info().currsize <= SCHUR_CACHE_SIZE
 
 
 def test_invariance_under_point_reordering():
