@@ -16,9 +16,20 @@ from .errors import IndexOutOfRange, InvalidPartition, ShiftOutOfRange
 IndexSet = Tuple[int, ...]
 
 
-def enum_subsets(n: int, k: int) -> Iterator[IndexSet]:
-    """All size-k subsets of {1,..,n} as sorted tuples, lexicographic."""
-    return combinations(range(1, n + 1), k)
+def enum_splits(universe: Sequence[int],
+                k: int) -> Iterator[Tuple[IndexSet, IndexSet]]:
+    """(S, universe - S) for every size-k subset S of the sorted universe.
+
+    The subsets come in lexicographic order, and both blocks are sorted.
+    Taking complements reverses the lexicographic order of equal-size
+    subsets, so the complements are the size-(|universe| - k) subsets in
+    reverse order.
+    """
+    universe = tuple(universe)
+    if k > len(universe):
+        return iter(())
+    return zip(combinations(universe, k),
+               reversed(list(combinations(universe, len(universe) - k))))
 
 
 def binom(d: int, p: int) -> int:

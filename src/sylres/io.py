@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .poly import Poly
 from .rationals import parse_rational
 from .rootsets import RootMultiset
@@ -57,25 +57,6 @@ def parse_index_set(text: str) -> tuple:
         return tuple(sorted(int(c) for c in s.split(",")))
     except ValueError:
         raise ParseError(f"bad index list {text!r}")
-
-
-def parse_instance(text: str):
-    """Parse JSON or shorthand into a multiset or polynomial.
-
-    JSON objects are dispatched on their keys; non-JSON text is multiset
-    shorthand.
-    """
-    s = text.strip()
-    if s.startswith("{"):
-        obj = _load_json(s)
-        if "roots" in obj:
-            return RootMultiset.from_json(obj)
-        if "coeffs" in obj:
-            return Poly.from_json(obj)
-        raise ValidationError(
-            f"JSON object with keys {sorted(obj)} is neither a multiset "
-            "nor a polynomial")
-    return parse_multiset(s)
 
 
 def _load_json(s: str) -> dict:

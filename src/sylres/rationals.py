@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-Rational = Fraction
-
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 

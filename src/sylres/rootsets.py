@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .errors import ValidationError
-from .poly import Poly
 from .rationals import Q1, format_rational, qof
 
 
@@ -181,15 +180,15 @@ def rprod(x: RootMultiset, y: RootMultiset) -> Fraction:
 
 
 def rprod_vals(xs: Sequence, y: RootMultiset) -> Fraction:
-    """R(X, Y) where X is a plain tuple of values (repetition allowed)."""
+    """R(X, Y) where X is a plain tuple of values (repetition allowed).
+
+    No library code calls it since the split sums moved onto integer
+    difference tables; the tests' reference sums do, and the benchmark's
+    tracer wraps it by name.
+    """
     out = Q1
     for a in xs:
         a = qof(a)
         for b, mb in y.entries:
             out *= (a - b) ** mb
     return out
-
-
-def rprod_poly(x: RootMultiset) -> Poly:
-    """R(x, X) with symbolic x: the monic polynomial with roots X."""
-    return Poly.from_roots(x.values())

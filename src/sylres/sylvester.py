@@ -5,6 +5,14 @@ determinant (`sres_det`) and the root-side sums (`syl_single`, `syl_double`,
 and the multiset generalization `sylm`). They are tied together by the sign
 (-1)^(d(m-d)). The multivariate evaluators at the bottom back the grid-based
 identity checks.
+
+The six split sums over sets (`syl_single`, `syl_double`, `single_sum_eval`,
+`exchange_rhs_eval`, `apery_jouanolou_rhs` and `sym_interp_eval`) run on one
+kernel, `_DifferenceTable`: the values are scaled to integers by their common
+denominator, every term is an integer over one Vandermonde product, and each
+result makes one Fraction per output coefficient. Their literal forms, which
+build a `RootMultiset` per block and multiply `rprod` values, survive only as
+test references. The multiset sum `sylm` still runs on `rprod`.
 """
 
 from __future__ import annotations
@@ -12,15 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Sequence, Tuple
+from math import lcm, prod
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from .combinatorics import IndexPartition, sigma_sign
+from .combinatorics import IndexPartition, enum_splits, sigma_sign
 from .errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                      MultiplicityNotOne, TooFewElements)
 from .linalg import MatrixP, det_p
 from .poly import Poly
 from .rationals import Q1, qof
-from .rootsets import RootMultiset, SubsetSelection, rprod, rprod_vals
+from .rootsets import RootMultiset, SubsetSelection, rprod
 from .schur import SchurSpec, schur_poly_x, schur_value
 
 
@@ -70,53 +79,183 @@ def sres_det(f: Poly, g: Poly, d: int) -> Poly:
     return det_p(MatrixP(rows))
 
 
+# -- split-sum kernel ------------------------------------------------------
+
+
+def _denominator(*groups: Sequence[Fraction]) -> int:
+    """Least common denominator of every value in the groups."""
+    return lcm(*(v.denominator for group in groups for v in group))
+
+
+def _scaled(values: Sequence[Fraction], den: int) -> list[int]:
+    """The values times their common denominator den, as integers."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _scaled_entries(x: RootMultiset, den: int) -> list[Tuple[int, int]]:
+    """(value times den, multiplicity) for each distinct value of x."""
+    return list(zip(_scaled(x.distinct_values(), den),
+                    (mult for _, mult in x.entries)))
+
+
+def _monic(roots: Sequence[int]) -> list[int]:
+    """Ascending coefficients of prod (x - r) over the integer roots."""
+    out = [1]
+    for r in roots:
+        out = [0] + out
+        for k in range(len(out) - 1):
+            out[k] -= r * out[k + 1]
+    return out
+
+
+def _over(num: int, vand: int, den: int, exp: int) -> Fraction:
+    """num * den^exp / vand, exactly."""
+    if exp >= 0:
+        return Fraction(num * den ** exp, vand)
+    return Fraction(num, vand * den ** -exp)
+
+
+class _DifferenceTable:
+    """Split sums over distinct integer values w by one difference table.
+
+    A split sum runs over the ordered splits of the values into blocks of
+    fixed sizes and divides each term by the product `cross` of
+    (w_i - w_j) over i in an earlier block than j. With the Vandermonde
+    product V = prod_{i<j} (w_i - w_j), which `cross` divides up to sign,
+    that quotient is (V // cross) / V: every term becomes an integer over
+    the one denominator V, and no Fraction is made per term.
+
+    Callers scale all values by their common denominator D first, so a
+    product of k differences is D^k times its rational value. The sums are
+    homogeneous, so the block sizes fix the power of D, and each caller
+    divides its integer total by V D^exp once per output coefficient.
+    """
+
+    __slots__ = ("diff", "vandermonde")
+
+    def __init__(self, w: Sequence[int]):
+        self.diff = [[wi - wj for wj in w] for wi in w]
+        self.vandermonde = prod(row[j] for i, row in enumerate(self.diff)
+                                for j in range(i + 1, len(w)))
+
+    def splits(self, sizes: Sequence[int],
+               factors: Sequence[Optional[Sequence[int]]]
+               ) -> Iterator[Tuple[tuple, int]]:
+        """(blocks, weight) for each ordered split with nonzero weight.
+
+        `sizes` and `factors` have one entry per block, two or three
+        blocks. `factors[b][i]` is the factor of value i when it lies in
+        block b (None: 1). The weight is the product of the element
+        factors times V // cross.
+        """
+        diff, vand = self.diff, self.vandermonde
+        three = len(sizes) == 3
+        f1, f2, f3 = factors if three else (*factors, None)
+        for b1, rest in enum_splits(range(len(diff)), sizes[0]):
+            w1 = 1
+            if f1 is not None:
+                for i in b1:
+                    w1 *= f1[i]
+                if w1 == 0:
+                    continue
+            c1 = 1
+            for i in b1:
+                row = diff[i]
+                for j in rest:
+                    c1 *= row[j]
+            inner = enum_splits(rest, sizes[1]) if three else ((rest, ()),)
+            for b2, b3 in inner:
+                weight = w1
+                if f2 is not None:
+                    for i in b2:
+                        weight *= f2[i]
+                if f3 is not None:
+                    for i in b3:
+                        weight *= f3[i]
+                if weight == 0:
+                    continue
+                cross = c1
+                for i in b2:
+                    row = diff[i]
+                    for j in b3:
+                        cross *= row[j]
+                blocks = (b1, b2, b3) if three else (b1, b2)
+                yield blocks, weight * (vand // cross)
+
+
 # -- classical sums for sets ------------------------------------------------------
 
 
 def syl_single(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
     """Sylvester single sum over splits A1 | A2 of A with |A1| = d.
 
-    A must be a set; B may be any multiset (it only enters through
-    R(A2, B)).
+    Each split contributes R(x, A1) R(A2, B) / R(A1, A2). A must be a
+    set; B may be any multiset (it only enters through R(A2, B)).
     """
     _require_set(a, "A")
-    m = a.size
+    m, n = a.size, b.size
     if not 0 <= d <= m:
         raise DegreeWindow(f"d={d} outside 0..{m}")
-    values = a.distinct_values()
-    total = Poly.zero()
-    for a1_vals in combinations(values, d):
-        a1 = RootMultiset.from_values(a1_vals)
-        a2 = a.difference(a1)
-        num = rprod(a2, b)
-        if num == 0:
-            continue
-        total = total + Poly.from_roots(a1_vals).scale(num / rprod(a1, a2))
-    return total
+    avals = a.distinct_values()
+    den = _denominator(avals, b.distinct_values())
+    wa = _scaled(avals, den)
+    wb = _scaled_entries(b, den)
+    table = _DifferenceTable(wa)
+    a2_factors = [prod((v - u) ** mu for u, mu in wb) for v in wa]
+    coeffs = [0] * (d + 1)
+    for (a1, _), weight in table.splits((d, m - d), (None, a2_factors)):
+        for k, c in enumerate(_monic([wa[i] for i in a1])):
+            coeffs[k] += weight * c
+    # R(A2, B) has (m-d)n differences, R(A1, A2) d(m-d), and the
+    # coefficient of x^k in R(x, A1) is a product of d-k roots.
+    exp = (m - d) * (d - n) - d
+    return Poly(_over(c, table.vandermonde, den, exp + k)
+                for k, c in enumerate(coeffs))
 
 
 def syl_double(a: RootMultiset, b: RootMultiset, p: int, q: int) -> Poly:
-    """Sylvester double sum over subset pairs (A', B') of sizes (p, q)."""
+    """Sylvester double sum over subset pairs (A', B') of sizes (p, q).
+
+    Each pair contributes R(x, A') R(x, B') R(A', B') R(A-A', B-B') over
+    R(A', A-A') R(B', B-B'). It runs as an outer split of B and, per B',
+    an inner split of A whose element factors are the products of
+    (a_i - b_j) over j in B' and over j outside B'.
+    """
     _require_set(a, "A")
     _require_set(b, "B")
     m, n = a.size, b.size
     if not (0 <= p <= m and 0 <= q <= n):
         raise DegreeWindow(f"(p,q)=({p},{q}) outside ({m},{n})")
     avals, bvals = a.distinct_values(), b.distinct_values()
-    total = Poly.zero()
-    for ap_vals in combinations(avals, p):
-        ap = RootMultiset.from_values(ap_vals)
-        a_rest = a.difference(ap)
-        for bp_vals in combinations(bvals, q):
-            bp = RootMultiset.from_values(bp_vals)
-            b_rest = b.difference(bp)
-            num = rprod(ap, bp) * rprod(a_rest, b_rest)
-            if num == 0:
-                continue
-            den = rprod(ap, a_rest) * rprod(bp, b_rest)
-            total = total + (Poly.from_roots(ap_vals)
-                             * Poly.from_roots(bp_vals)).scale(num / den)
-    return total
+    den = _denominator(avals, bvals)
+    wa, wb = _scaled(avals, den), _scaled(bvals, den)
+    ta, tb = _DifferenceTable(wa), _DifferenceTable(wb)
+    cross_ab = [[u - v for v in wb] for u in wa]
+    a_polys: dict[tuple, list[int]] = {}
+    coeffs = [0] * (p + q + 1)
+    for (bp, b_rest), outer in tb.splits((q, n - q), (None, None)):
+        in_bp = [prod(row[j] for j in bp) for row in cross_ab]
+        out_bp = [prod(row[j] for j in b_rest) for row in cross_ab]
+        inner = [0] * (p + 1)
+        for (ap, _), weight in ta.splits((p, m - p), (in_bp, out_bp)):
+            poly = a_polys.get(ap)
+            if poly is None:
+                poly = a_polys[ap] = _monic([wa[i] for i in ap])
+            for k, c in enumerate(poly):
+                inner[k] += weight * c
+        if not any(inner):
+            continue
+        for j, c in enumerate(_monic([wb[i] for i in bp])):
+            c *= outer
+            for k, e in enumerate(inner):
+                coeffs[j + k] += c * e
+    # The denominators have p(m-p) + q(n-q) differences, the numerators
+    # pq + (m-p)(n-q), and the coefficient of x^k in R(x, A') R(x, B') is a
+    # product of p+q-k roots.
+    exp = (p * (m - p) + q * (n - q) - p * q - (m - p) * (n - q)
+           - (p + q))
+    return Poly(_over(c, ta.vandermonde * tb.vandermonde, den, exp + k)
+                for k, c in enumerate(coeffs))
 
 
 # -- multiset Sylvester sum ----------------------------------------------------
@@ -263,20 +402,21 @@ def single_sum_eval(a: RootMultiset, b: RootMultiset, d: int,
                     xs: Sequence) -> Fraction:
     """The single sum with the symbolic x replaced by a tuple of values."""
     _require_set(a, "A")
-    m = a.size
+    m, n = a.size, b.size
     if not 0 <= d <= m:
         raise DegreeWindow(f"d={d} outside 0..{m}")
     xs = tuple(qof(v) for v in xs)
-    values = a.distinct_values()
-    total = Fraction(0)
-    for a1_vals in combinations(values, d):
-        a1 = RootMultiset.from_values(a1_vals)
-        a2 = a.difference(a1)
-        num = rprod(a2, b)
-        if num == 0:
-            continue
-        total += num * rprod_vals(xs, a1) / rprod(a1, a2)
-    return total
+    avals = a.distinct_values()
+    den = _denominator(avals, b.distinct_values(), xs)
+    wa, wx = _scaled(avals, den), _scaled(xs, den)
+    wb = _scaled_entries(b, den)
+    table = _DifferenceTable(wa)
+    a1_factors = [prod(x - v for x in wx) for v in wa]
+    a2_factors = [prod((v - u) ** mu for u, mu in wb) for v in wa]
+    total = sum(weight for _, weight in
+                table.splits((d, m - d), (a1_factors, a2_factors)))
+    exp = d * (m - d) - d * len(xs) - (m - d) * n
+    return _over(total, table.vandermonde, den, exp)
 
 
 def exchange_rhs_eval(a: RootMultiset, b: RootMultiset, d: int,
@@ -288,53 +428,60 @@ def exchange_rhs_eval(a: RootMultiset, b: RootMultiset, d: int,
         raise TooFewElements(f"|B|={n} below d={d}")
     xs = tuple(qof(v) for v in xs)
     m = a.size
-    values = b.distinct_values()
-    total = Fraction(0)
-    for b1_vals in combinations(values, d):
-        b1 = RootMultiset.from_values(b1_vals)
-        b2 = b.difference(b1)
-        num = rprod(a, b2)
-        if num == 0:
-            continue
-        total += num * rprod_vals(xs, b1) / rprod(b1, b2)
+    bvals = b.distinct_values()
+    den = _denominator(bvals, a.distinct_values(), xs)
+    wb, wx = _scaled(bvals, den), _scaled(xs, den)
+    wa = _scaled_entries(a, den)
+    table = _DifferenceTable(wb)
+    b1_factors = [prod(x - v for x in wx) for v in wb]
+    b2_factors = [prod((u - v) ** mu for u, mu in wa) for v in wb]
+    total = sum(weight for _, weight in
+                table.splits((d, n - d), (b1_factors, b2_factors)))
     if (d * (m - d)) % 2:
         total = -total
-    return total
+    exp = d * (n - d) - d * len(xs) - m * (n - d)
+    return _over(total, table.vandermonde, den, exp)
 
 
 def apery_jouanolou_rhs(a: RootMultiset, b: RootMultiset, d: int,
                         e: RootMultiset, xs: Sequence) -> Fraction:
-    """Three-block sum over an auxiliary set E of sufficient size."""
+    """Three-block sum over an auxiliary set E of sufficient size.
+
+    Each split E1 | E2 | E3 with |E1| = d and |E2| = m - d contributes
+    R(X, E1) R(E2, B) R(A, E3) / (R(E1, E2) R(E1, E3) R(E2, E3)).
+    """
     _require_set(e, "E")
     xs = tuple(qof(v) for v in xs)
     m, n = a.size, b.size
     bound = max(len(xs) + d, m + n - d, m)
     if e.size < bound:
         raise CardinalityTooSmall(f"|E|={e.size} below required {bound}")
+    if not 0 <= d <= m:
+        raise DegreeWindow(f"d={d} outside 0..{m}")
     evals = e.distinct_values()
-    total = Fraction(0)
-    for e1_vals in combinations(evals, d):
-        e1 = RootMultiset.from_values(e1_vals)
-        rest = tuple(v for v in evals if v not in set(e1_vals))
-        for e2_vals in combinations(rest, m - d):
-            e2 = RootMultiset.from_values(e2_vals)
-            e3_vals = tuple(v for v in rest if v not in set(e2_vals))
-            e3 = RootMultiset.from_values(e3_vals)
-            num = rprod(a, e3) * rprod(e2, b)
-            if num == 0:
-                continue
-            num *= rprod_vals(xs, e1)
-            if num == 0:
-                continue
-            den = rprod(e1, e2) * rprod(e1, e3) * rprod(e2, e3)
-            total += num / den
-    return total
+    size = len(evals)
+    den = _denominator(evals, a.distinct_values(), b.distinct_values(), xs)
+    we, wx = _scaled(evals, den), _scaled(xs, den)
+    wa, wb = _scaled_entries(a, den), _scaled_entries(b, den)
+    table = _DifferenceTable(we)
+    factors = ([prod(x - v for x in wx) for v in we],
+               [prod((v - u) ** mu for u, mu in wb) for v in we],
+               [prod((u - v) ** mu for u, mu in wa) for v in we])
+    total = sum(weight for _, weight in
+                table.splits((d, m - d, size - m), factors))
+    exp = (d * (m - d) + d * (size - m) + (m - d) * (size - m)
+           - d * len(xs) - (m - d) * n - (size - m) * m)
+    return _over(total, table.vandermonde, den, exp)
 
 
 def sym_interp_eval(e: RootMultiset, d: int,
                     h: Callable[[Tuple[Fraction, ...]], Fraction],
                     xs: Sequence) -> Fraction:
-    """Symmetric Lagrange interpolation of h through the nodes E \\ E'."""
+    """Symmetric Lagrange interpolation of h through the nodes E \\ E'.
+
+    Each split E' | E - E' with |E'| = d contributes
+    h(E - E') R(X, E') / R(E - E', E').
+    """
     _require_set(e, "E")
     size = e.size
     if not 0 <= d < size:
@@ -343,10 +490,15 @@ def sym_interp_eval(e: RootMultiset, d: int,
     if len(xs) != size - d:
         raise ArityMismatch(f"need {size - d} values, got {len(xs)}")
     evals = e.distinct_values()
+    den = _denominator(evals, xs)
+    we, wx = _scaled(evals, den), _scaled(xs, den)
+    table = _DifferenceTable(we)
+    ep_factors = [prod(x - v for x in wx) for v in we]
     total = Fraction(0)
-    for ep_vals in combinations(evals, d):
-        ep = RootMultiset.from_values(ep_vals)
-        rest = e.difference(ep)
-        total += (qof(h(rest.values())) * rprod_vals(xs, ep)
-                  / rprod(rest, ep))
-    return total
+    for (_, rest), weight in table.splits((d, size - d), (ep_factors, None)):
+        total += qof(h(tuple(evals[i] for i in rest))) * weight
+    # R(E - E', E') = (-1)^(d(size-d)) R(E', E - E')
+    if (d * (size - d)) % 2:
+        total = -total
+    exp = d * (size - d) - d * len(xs)
+    return total * _over(1, table.vandermonde, den, exp)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from .combinatorics import binom, check_sign_lemma, enum_partitions3
-from .errors import UnknownSuite
+from .errors import UnknownSuite, ValidationError
 from .io import parse_multiset
 from .poly import Poly
 from .rationals import format_rational, qof
@@ -471,7 +471,7 @@ def _gen_schur_consistency(cfg: FuzzConfig):
 def _check_schur_consistency(inst: dict) -> dict:
     points = parse_multiset(inst["points"])
     ok = schur_consistency_check(inst["k"], tuple(inst["removed"]), points,
-                                 with_x=inst.get("with_x", False))
+                                 with_x=inst["with_x"])
     return {"ok": ok}
 
 
@@ -528,6 +528,27 @@ _SUITES = {
     "examples": (_gen_examples, _check_examples),
 }
 
+# The instance fields each suite's checker reads, with their JSON types; a
+# list [t] holds items of type t. `replay` checks a record against these
+# before the checker sees it.
+_PAIR = {"a": str, "b": str}
+_FIELDS = {
+    "thm14": _PAIR,
+    "thm12": {**_PAIR, "d": int},
+    "eq1": _PAIR,
+    "eq2": _PAIR,
+    "eq3": _PAIR,
+    "lemma24": {**_PAIR, "d": int, "nx": int, "part": int},
+    "prop21": {**_PAIR, "e": str, "d": int, "nx": int},
+    "prop23": {"e": str, "d": int, "xs": [str]},
+    "lemma34": {"r": int},
+    "schur-consistency": {"k": int, "removed": [int], "points": str,
+                          "with_x": bool},
+    "examples": {"alpha1": str, "alpha2": str, "beta1": str},
+}
+# Fields a record may omit, with the value the checker then uses.
+_DEFAULTS = {"schur-consistency": {"with_x": False}}
+
 SUITE_NAMES = tuple(_SUITES)
 
 
@@ -559,9 +580,41 @@ def run_suite(name: str, cfg: FuzzConfig) -> SuiteReport:
     return report
 
 
-def replay(name: str, inst: dict) -> dict:
-    """Re-run a single recorded instance for the given suite."""
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return (isinstance(value, list)
+                and all(_has_type(v, kind[0]) for v in value))
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, kind) and (kind is bool
+                                        or not isinstance(value, bool))
+
+
+def _type_name(kind) -> str:
+    if isinstance(kind, list):
+        return f"a list, each item {_type_name(kind[0])}"
+    return {str: "a string", int: "an integer", bool: "true or false"}[kind]
+
+
+def validate_instance(name: str, inst: dict) -> dict:
+    """The instance with its defaults filled in, once every field the
+    suite reads is present with its declared type; ValidationError if not.
+    """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}")
+    full = {**_DEFAULTS.get(name, {}), **inst}
+    for key, kind in _FIELDS[name].items():
+        if key not in full:
+            raise ValidationError(
+                f"{name} instance lacks the field {key!r}")
+        if not _has_type(full[key], kind):
+            raise ValidationError(
+                f"{name} instance field {key!r} must be {_type_name(kind)},"
+                f" got {full[key]!r}")
+    return full
+
+
+def replay(name: str, inst: dict) -> dict:
+    """Re-run a single recorded instance for the given suite."""
+    full = validate_instance(name, inst)
     _, check = _SUITES[name]
-    return check(inst)
+    return check(full)

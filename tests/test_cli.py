@@ -3,6 +3,8 @@ import json
 import pytest
 
 from sylres.cli import build_parser, main
+from sylres.verify import (_SUITES, SUITE_NAMES, FuzzConfig, replay,
+                           validate_instance)
 
 
 def run(capsys, *argv):
@@ -177,6 +179,9 @@ class TestVerify:
         '{"suite": "thm14"}',
         '[{"a": "0:1,1:2", "b": "2:2"}]',
         '{"suite": "thm14", "instance":',
+        '{"suite": "thm14", "instance": {"a": "1"}}',
+        '{"suite": "lemma24", "instance": {"a": "1:1", "b": "2:1", "d": "1",'
+        ' "nx": 1, "part": 1}}',
     ])
     def test_replay_bad_record(self, capsys, tmp_path, content):
         path = tmp_path / "inst.json"
@@ -185,6 +190,17 @@ class TestVerify:
         assert rc == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_generated_instances_have_declared_fields(self, name):
+        gen, _ = _SUITES[name]
+        for inst in gen(FuzzConfig(seed=3, count=4)):
+            assert validate_instance(name, inst) == inst
+
+    def test_replay_fills_optional_field(self):
+        # schur-consistency records may omit with_x, which defaults to False
+        assert replay("schur-consistency",
+                      {"k": 3, "removed": [2], "points": "2,5"})["ok"]
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from sylres.combinatorics import (IndexPartition, binom, check_sign_lemma,
-                                  enum_partitions3, enum_subsets, sg_blocks,
+                                  enum_partitions3, enum_splits, sg_blocks,
                                   sg_partition, sg_set,
                                   sg_set_by_transpositions, sigma_sign)
 from sylres.errors import (IndexOutOfRange, InvalidPartition,
@@ -12,21 +12,29 @@ from sylres.errors import (IndexOutOfRange, InvalidPartition,
 
 
 class TestEnumSubsets:
+    """Subsets with their complements, as `enum_splits` yields them."""
+
     def test_exhaustive(self):
-        assert list(enum_subsets(3, 2)) == [(1, 2), (1, 3), (2, 3)]
+        assert list(enum_splits((1, 2, 3), 2)) == [
+            ((1, 2), (3,)), ((1, 3), (2,)), ((2, 3), (1,))]
 
     def test_empty_subset(self):
-        assert list(enum_subsets(4, 0)) == [()]
+        assert list(enum_splits(range(4), 0)) == [((), (0, 1, 2, 3))]
 
     def test_oversize(self):
-        assert list(enum_subsets(2, 3)) == []
+        assert list(enum_splits((1, 2), 3)) == []
 
     def test_counts(self):
         for n in range(0, 7):
+            universe = tuple(range(1, n + 1))
             total = 0
             for k in range(0, n + 1):
-                subs = list(enum_subsets(n, k))
+                splits = list(enum_splits(universe, k))
+                subs = [s for s, _ in splits]
                 assert len(subs) == len(set(subs)) == math.comb(n, k)
+                assert subs == list(combinations(universe, k))
+                for s, rest in splits:
+                    assert rest == tuple(i for i in universe if i not in s)
                 total += len(subs)
             assert total == 2 ** n
 

@@ -1,15 +1,19 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylres.combinatorics import binom
 from sylres.errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                            MultiplicityNotOne, TooFewElements)
 from sylres.poly import Poly
-from sylres.rootsets import RootMultiset, rprod
+from sylres.rootsets import RootMultiset, rprod, rprod_vals
 from sylres.sylvester import (apery_jouanolou_rhs, exchange_rhs_eval,
                               single_sum_eval, sres_det, syl_double,
                               syl_single, sylm, sylm_terms, sym_interp_eval)
+from sylres.verify import _symmetric_pool
 
 
 def RM(*pairs):
@@ -236,6 +240,12 @@ class TestAperyJouanolou:
         with pytest.raises(CardinalityTooSmall):
             apery_jouanolou_rhs(sets(1, 2), sets(3), 1, sets(4), (F(0),))
 
+    def test_degree_window(self):
+        e = sets(4, 5, 6, 7, 8, 9)
+        for d in (-1, 3):  # |A| = 2
+            with pytest.raises(DegreeWindow):
+                apery_jouanolou_rhs(sets(1, 2), sets(3), d, e, (F(0),))
+
 
 class TestSymInterp:
     def test_partition_of_unity(self):
@@ -265,3 +275,172 @@ class TestSymInterp:
     def test_arity(self):
         with pytest.raises(ArityMismatch):
             sym_interp_eval(sets(1, 2, 3), 1, lambda xs: F(1), (F(0),))
+
+
+# -- reference sums ---------------------------------------------------------
+# The literal rprod loops that the split sums ran before they moved onto the
+# integer difference-table kernel. They check no arguments.
+
+
+def ref_syl_single(a, b, d):
+    total = Poly.zero()
+    for a1_vals in combinations(a.distinct_values(), d):
+        a1 = RootMultiset.from_values(a1_vals)
+        a2 = a.difference(a1)
+        num = rprod(a2, b)
+        if num == 0:
+            continue
+        total = total + Poly.from_roots(a1_vals).scale(num / rprod(a1, a2))
+    return total
+
+
+def ref_syl_double(a, b, p, q):
+    total = Poly.zero()
+    for ap_vals in combinations(a.distinct_values(), p):
+        ap = RootMultiset.from_values(ap_vals)
+        a_rest = a.difference(ap)
+        for bp_vals in combinations(b.distinct_values(), q):
+            bp = RootMultiset.from_values(bp_vals)
+            b_rest = b.difference(bp)
+            num = rprod(ap, bp) * rprod(a_rest, b_rest)
+            if num == 0:
+                continue
+            den = rprod(ap, a_rest) * rprod(bp, b_rest)
+            total = total + (Poly.from_roots(ap_vals)
+                             * Poly.from_roots(bp_vals)).scale(num / den)
+    return total
+
+
+def ref_single_sum_eval(a, b, d, xs):
+    total = F(0)
+    for a1_vals in combinations(a.distinct_values(), d):
+        a1 = RootMultiset.from_values(a1_vals)
+        a2 = a.difference(a1)
+        num = rprod(a2, b)
+        if num == 0:
+            continue
+        total += num * rprod_vals(xs, a1) / rprod(a1, a2)
+    return total
+
+
+def ref_exchange_rhs_eval(a, b, d, xs):
+    total = F(0)
+    for b1_vals in combinations(b.distinct_values(), d):
+        b1 = RootMultiset.from_values(b1_vals)
+        b2 = b.difference(b1)
+        num = rprod(a, b2)
+        if num == 0:
+            continue
+        total += num * rprod_vals(xs, b1) / rprod(b1, b2)
+    return -total if (d * (a.size - d)) % 2 else total
+
+
+def ref_apery_jouanolou_rhs(a, b, d, e, xs):
+    evals = e.distinct_values()
+    total = F(0)
+    for e1_vals in combinations(evals, d):
+        e1 = RootMultiset.from_values(e1_vals)
+        rest = tuple(v for v in evals if v not in set(e1_vals))
+        for e2_vals in combinations(rest, a.size - d):
+            e2 = RootMultiset.from_values(e2_vals)
+            e3 = RootMultiset.from_values(
+                v for v in rest if v not in set(e2_vals))
+            num = rprod(a, e3) * rprod(e2, b) * rprod_vals(xs, e1)
+            if num == 0:
+                continue
+            den = rprod(e1, e2) * rprod(e1, e3) * rprod(e2, e3)
+            total += num / den
+    return total
+
+
+def ref_sym_interp_eval(e, d, h, xs):
+    total = F(0)
+    for ep_vals in combinations(e.distinct_values(), d):
+        ep = RootMultiset.from_values(ep_vals)
+        rest = e.difference(ep)
+        total += h(rest.values()) * rprod_vals(xs, ep) / rprod(rest, ep)
+    return total
+
+
+# Rationals with denominators up to 97. Values drawn from `shared` coincide
+# with roots of the other side, so zero terms occur.
+rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 97))
+
+
+def distinct(draw, k, shared=()):
+    pool = rationals
+    if shared:
+        pool = st.one_of(rationals, st.sampled_from(shared))
+    return draw(st.lists(pool, min_size=k, max_size=k, unique=True))
+
+
+def multiset(draw, k, shared=()):
+    values = distinct(draw, draw(st.integers(min(k, 1), k)), shared)
+    mults = [1] * len(values)
+    for _ in range(k - len(values)):
+        mults[draw(st.integers(0, len(values) - 1))] += 1
+    return RootMultiset(zip(values, mults))
+
+
+@st.composite
+def set_and_multiset(draw, max_set=5, max_multi=4):
+    """(a set, a multiset sharing some of its values, evaluation points)."""
+    s = sets(*distinct(draw, draw(st.integers(0, max_set))))
+    shared = s.distinct_values()
+    multi = multiset(draw, draw(st.integers(0, max_multi)), shared)
+    xs = tuple(distinct(draw, draw(st.integers(0, 2)), shared))
+    return s, multi, xs
+
+
+@settings(max_examples=40, deadline=None)
+@given(set_and_multiset())
+def test_single_sums_match_reference(case):
+    a, b, xs = case  # B a multiset
+    for d in range(a.size + 1):
+        assert syl_single(a, b, d) == ref_syl_single(a, b, d)
+        assert (single_sum_eval(a, b, d, xs)
+                == ref_single_sum_eval(a, b, d, xs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(set_and_multiset())
+def test_exchange_rhs_matches_reference(case):
+    b, a, xs = case  # A a multiset
+    for d in range(b.size + 1):
+        assert (exchange_rhs_eval(a, b, d, xs)
+                == ref_exchange_rhs_eval(a, b, d, xs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_syl_double_matches_reference(data):
+    a = sets(*distinct(data.draw, data.draw(st.integers(0, 4))))
+    b = sets(*distinct(data.draw, data.draw(st.integers(0, 4)),
+                       a.distinct_values()))
+    for p in range(a.size + 1):
+        for q in range(b.size + 1):
+            assert syl_double(a, b, p, q) == ref_syl_double(a, b, p, q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_apery_jouanolou_matches_reference(data):
+    a, b, xs = data.draw(set_and_multiset(max_set=3, max_multi=3))
+    m, n = a.size, b.size
+    size = max(len(xs) + m, m + n, 1) + data.draw(st.integers(0, 1))
+    e = sets(*distinct(data.draw, size,
+                       a.distinct_values() + b.distinct_values()))
+    for d in range(m + 1):
+        assert (apery_jouanolou_rhs(a, b, d, e, xs)
+                == ref_apery_jouanolou_rhs(a, b, d, e, xs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_sym_interp_matches_reference(data):
+    e = sets(*distinct(data.draw, data.draw(st.integers(1, 5))))
+    for d in range(e.size):
+        xs = tuple(distinct(data.draw, e.size - d, e.distinct_values()))
+        for _, h in _symmetric_pool(d, len(xs)):
+            assert (sym_interp_eval(e, d, h, xs)
+                    == ref_sym_interp_eval(e, d, h, xs))
