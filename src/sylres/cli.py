@@ -15,7 +15,6 @@ import sys
 from .errors import ParseError, SylresError, ValidationError
 from .io import parse_index_set, parse_multiset, parse_poly
 from .poly import Poly
-from .rationals import format_rational
 from .rootsets import RootMultiset
 from .schur import SchurSpec, schur_poly_x, schur_value
 from .sylvester import sres_det, syl_double, syl_single, sylm, sylm_terms
@@ -117,8 +116,8 @@ def _cmd_sylm(args) -> int:
                 "value": total.to_json(),
                 "terms": [{
                     "partition": [list(blk) for blk in t.partition.blocks],
-                    "a_prime": [format_rational(v) for v in t.a_prime.values()],
-                    "b_prime": [format_rational(v) for v in t.b_prime.values()],
+                    "a_prime": [str(v) for v in t.a_prime.values()],
+                    "b_prime": [str(v) for v in t.b_prime.values()],
                     "sign": t.sign,
                     "value": t.value.to_json(),
                 } for t in terms]}))
@@ -126,8 +125,8 @@ def _cmd_sylm(args) -> int:
             for t in terms:
                 blocks = "|".join(",".join(map(str, blk))
                                   for blk in t.partition.blocks)
-                aps = ",".join(format_rational(v) for v in t.a_prime.values())
-                bps = ",".join(format_rational(v) for v in t.b_prime.values())
+                aps = ",".join(map(str, t.a_prime.values()))
+                bps = ",".join(map(str, t.b_prime.values()))
                 print(f"R=({blocks}) A'=({aps}) B'=({bps}) "
                       f"sign={t.sign:+d} value={t.value}")
             print(f"total: {total}")
@@ -145,8 +144,8 @@ def _cmd_schur(args) -> int:
         _emit_poly(schur_poly_x(spec), args.json)
     else:
         value = schur_value(spec)
-        print(json.dumps({"value": format_rational(value)})
-              if args.json else format_rational(value))
+        print(json.dumps({"value": str(value)})
+              if args.json else str(value))
     return 0
 
 

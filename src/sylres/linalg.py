@@ -1,17 +1,22 @@
-"""Exact determinants and (confluent) Vandermonde builders.
+"""Exact determinants and confluent Vandermonde builders.
 
-Rational matrices are eliminated fraction-free (Bareiss) with row pivoting.
-Polynomial matrices are restricted to a single nonconstant column and
-expanded by cofactors along it, each minor being a rational determinant.
-Row and column indices are 1-based to match the index-set conventions used
-by the Schur and Sylvester modules.
+Every determinant runs through one kernel, `_bareiss`: integer
+fraction-free elimination with row pivoting (Bareiss, Math. Comp. 22,
+1968), after each row is scaled to integers by the least common multiple
+of its denominators. `det_q` eliminates a square rational matrix. `det_p`
+admits one column of polynomials: it moves that column last and spreads
+it into one column per coefficient. Eliminating the n-1 constant columns
+then leaves in the last row the determinants with the polynomial column
+replaced by each coefficient column, which are the coefficients of the
+determinant. Row indices are 1-based to match the index-set conventions
+used by the Schur and Sylvester modules.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import (IndexOutOfRange, MultiplePolyColumns, NotSquare,
                      NotSquareAfterRemoval, TooManyColumns)
@@ -51,101 +56,80 @@ class MatrixQ:
         return f"MatrixQ({self.entries!r})"
 
 
-class MatrixP:
-    __slots__ = ("entries",)
+def _bareiss(rows: Sequence[Sequence[Fraction]], steps: int
+             ) -> Tuple[List[int], int]:
+    """(last row, scale) after integer elimination of the first `steps`
+    columns of the steps + 1 rational rows.
 
-    def __init__(self, rows: Sequence[Sequence[Poly]]):
-        data = tuple(tuple(row) for row in rows)
-        widths = {len(row) for row in data}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
-        for row in data:
-            for c in row:
-                if not isinstance(c, Poly):
-                    raise ValueError("MatrixP entries must be Poly")
-        object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixP is immutable")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixP) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"MatrixP({self.entries!r})"
+    Each row is scaled to integers by the lcm of its denominators, taken
+    pairwise: a starred `lcm` would build an argument tuple as long as the
+    row. Entry j >= steps of the last row, over scale, is then the
+    determinant of columns 0..steps-1 and j of the rows; scale also
+    carries the sign of the row swaps. Every entry is 0 when those
+    columns have no pivot.
+    """
+    a, scale = [], 1
+    for row in rows:
+        den = 1
+        for v in row:
+            den = math.lcm(den, v.denominator)
+        scale *= den
+        a.append([v.numerator * (den // v.denominator) for v in row])
+    prev = 1
+    for k in range(steps):
+        if a[k][k] == 0:
+            for i in range(k + 1, len(a)):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    scale = -scale
+                    break
+            else:
+                return [0] * len(a[-1]), scale
+        pivot = a[k][k]
+        tail = a[k][k + 1:]
+        for i in range(k + 1, len(a)):
+            row = a[i]
+            aik = row[k]
+            row[k + 1:] = [(x * pivot - aik * y) // prev
+                           for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return a[-1], scale
 
 
 def det_q(m: MatrixQ) -> Fraction:
-    """Exact determinant by fraction-free elimination with row pivoting."""
+    """Exact determinant of a square rational matrix."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols} matrix is not square")
     n = m.rows
     if n == 0:
         return Q1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = Q1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Q0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) / prev
-            row_i[k] = Q0
-        prev = pivot
-    return a[-1][-1] * sign
+    last, scale = _bareiss(m.entries, n - 1)
+    return Fraction(last[-1], scale)
 
 
-def det_p(m: MatrixP) -> Poly:
-    """Determinant of a matrix with at most one nonconstant column."""
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols} matrix is not square")
-    n = m.rows
+def det_p(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square matrix of polynomials, given as its rows, of
+    which at most one column is nonconstant."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise NotSquare(f"{n} rows of widths "
+                        f"{sorted({len(row) for row in rows})}")
     if n == 0:
         return Poly.one()
     poly_cols = [j for j in range(n)
-                 if any(not row[j].is_constant() for row in m.entries)]
+                 if any(not row[j].is_constant() for row in rows)]
     if len(poly_cols) > 1:
         raise MultiplePolyColumns(
             f"nonconstant entries in columns {[j + 1 for j in poly_cols]}")
-    if not poly_cols:
-        const = MatrixQ([[c.constant_value() for c in row]
-                         for row in m.entries])
-        return Poly.constant(det_q(const))
-    col = poly_cols[0]
-    total = Poly.zero()
-    for i in range(n):
-        entry = m.entries[i][col]
-        if entry.is_zero():
-            continue
-        minor = MatrixQ([[c.constant_value()
-                          for j, c in enumerate(row) if j != col]
-                         for r, row in enumerate(m.entries) if r != i])
-        cofactor = det_q(minor)
-        if (i + col) % 2:
-            cofactor = -cofactor
-        total = total + entry.scale(cofactor)
-    return total
+    col = poly_cols[0] if poly_cols else n - 1
+    width = max(len(row[col].coeffs) for row in rows)
+    spread = [[c.constant_value() for j, c in enumerate(row) if j != col]
+              + [row[col].coeff(k) for k in range(width)] for row in rows]
+    last, scale = _bareiss(spread, n - 1)
+    # Moving column col last takes n-1-col adjacent swaps.
+    if (n - 1 - col) % 2:
+        scale = -scale
+    return Poly(Fraction(c, scale) for c in last[n - 1:])
 
 
 def _confluent_columns(k: int, value: Fraction, mult: int):
@@ -174,8 +158,9 @@ def vandermonde_confluent(k: int, x: RootMultiset) -> MatrixQ:
     return MatrixQ([[cols[j][t] for j in range(r)] for t in range(k)])
 
 
-def vandermonde_confluent_with_x(k: int, x: RootMultiset) -> MatrixP:
-    """Confluent columns for X plus one symbolic column [x^(k-1),..,x,1]."""
+def vandermonde_confluent_with_x(k: int, x: RootMultiset) -> List[List[Poly]]:
+    """Rows of the confluent columns for X plus one symbolic column
+    [x^(k-1),..,x,1]."""
     r = x.size
     if k < r + 1:
         raise TooManyColumns(f"k={k} rows but {r + 1} columns requested")
@@ -184,10 +169,10 @@ def vandermonde_confluent_with_x(k: int, x: RootMultiset) -> MatrixP:
         cols.extend([[Poly.constant(c) for c in col]
                      for col in _confluent_columns(k, value, mult)])
     cols.append([Poly.monomial(k - t) for t in range(1, k + 1)])
-    return MatrixP([[cols[j][t] for j in range(r + 1)] for t in range(k)])
+    return [[cols[j][t] for j in range(r + 1)] for t in range(k)]
 
 
-def remove_rows(m, removed: Sequence[int]):
+def remove_rows(m: MatrixQ, removed: Sequence[int]) -> MatrixQ:
     """Square submatrix after dropping the 1-based rows in `removed`."""
     drop = set(removed)
     for i in drop:
@@ -197,4 +182,4 @@ def remove_rows(m, removed: Sequence[int]):
     if len(kept) != m.cols:
         raise NotSquareAfterRemoval(
             f"{len(kept)} rows remain for {m.cols} columns")
-    return type(m)(kept)
+    return MatrixQ(kept)

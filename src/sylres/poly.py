@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import DivisionByZeroPoly, NotDivisible, ValidationError
-from .rationals import Q0, Q1, format_rational, qof
+from .rationals import Q0, Q1, qof
 
 
 class Poly:
@@ -177,7 +177,7 @@ class Poly:
             if c == 0:
                 continue
             if k == 0:
-                term = format_rational(c)
+                term = str(c)
             else:
                 xs = "x" if k == 1 else f"x^{k}"
                 if c == 1:
@@ -185,7 +185,7 @@ class Poly:
                 elif c == -1:
                     term = f"-{xs}"
                 else:
-                    term = f"{format_rational(c)}*{xs}"
+                    term = f"{c!s}*{xs}"
             parts.append(term)
         out = parts[0]
         for t in parts[1:]:
@@ -195,7 +195,7 @@ class Poly:
     # -- JSON wire format --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"coeffs": [format_rational(c) for c in self.coeffs]}
+        return {"coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":

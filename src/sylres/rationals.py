@@ -37,7 +37,3 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:
         raise ValidationError(f"malformed rational {text!r}")
 
-
-def format_rational(q: Fraction) -> str:
-    """Lowest-terms text form: "p/q", or "p" for integers."""
-    return str(q)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .errors import ValidationError
-from .rationals import Q1, format_rational, qof
+from .rationals import Q1, qof
 
 
 class RootMultiset:
@@ -97,9 +97,6 @@ class RootMultiset:
                 counts[v] = have - m
         return RootMultiset(counts.items())
 
-    def with_value(self, value, mult: int = 1) -> "RootMultiset":
-        return self.union(RootMultiset(((value, mult),)))
-
     # -- comparisons -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -109,13 +106,13 @@ class RootMultiset:
         return hash(self.entries)
 
     def __repr__(self) -> str:
-        inner = ",".join(f"{format_rational(v)}:{m}" for v, m in self.entries)
+        inner = ",".join(f"{v!s}:{m}" for v, m in self.entries)
         return f"RootMultiset({inner})"
 
     # -- wire formats -------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"roots": [{"value": format_rational(v), "mult": m}
+        return {"roots": [{"value": str(v), "mult": m}
                           for v, m in self.entries]}
 
     @classmethod
@@ -135,7 +132,7 @@ class RootMultiset:
         return cls(pairs)
 
     def to_shorthand(self) -> str:
-        return ",".join(f"{format_rational(v)}:{m}" for v, m in self.entries)
+        return ",".join(f"{v!s}:{m}" for v, m in self.entries)
 
 
 @dataclass(frozen=True)

@@ -122,8 +122,9 @@ def schur_vandermonde_ratio(spec: SchurSpec) -> Union[Fraction, Poly]:
     """
     r = spec.points.size
     if spec.with_x:
-        num = det_p(remove_rows(
-            vandermonde_confluent_with_x(spec.k, spec.points), spec.removed))
+        rows = vandermonde_confluent_with_x(spec.k, spec.points)
+        num = det_p([row for i, row in enumerate(rows, start=1)
+                     if i not in spec.removed])
         den = det_p(vandermonde_confluent_with_x(r + 1, spec.points))
         return num.exact_div(den)
     if r == 0:

@@ -10,9 +10,11 @@ The six split sums over sets (`syl_single`, `syl_double`, `single_sum_eval`,
 `exchange_rhs_eval`, `apery_jouanolou_rhs` and `sym_interp_eval`) run on one
 kernel, `_DifferenceTable`: the values are scaled to integers by their common
 denominator, every term is an integer over one Vandermonde product, and each
-result makes one Fraction per output coefficient. Their literal forms, which
-build a `RootMultiset` per block and multiply `rprod` values, survive only as
-test references. The multiset sum `sylm` still runs on `rprod`.
+result makes one Fraction per output coefficient. The multiset sum `sylm`
+takes its difference-product ratios and x-parts from `_base_table`, built on
+the same kernel once per subset sizes and call. The literal forms of these
+sums, which build a `RootMultiset` per block and multiply `rprod` values,
+survive only as test references.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 from .combinatorics import IndexPartition, enum_splits, sigma_sign
 from .errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                      MultiplicityNotOne, TooFewElements)
-from .linalg import MatrixP, det_p
+from .linalg import det_p
 from .poly import Poly
-from .rationals import Q1, qof
-from .rootsets import RootMultiset, SubsetSelection, rprod
+from .rationals import qof
+from .rootsets import RootMultiset, SubsetSelection
 from .schur import SchurSpec, schur_poly_x, schur_value
 
 
@@ -76,7 +78,7 @@ def sres_det(f: Poly, g: Poly, d: int) -> Poly:
         row = [Poly.constant(g.coeff(n - (j - i))) for j in range(1, size)]
         row.append(g.shift(m - d - i))
         rows.append(row)
-    return det_p(MatrixP(rows))
+    return det_p(rows)
 
 
 # -- split-sum kernel ------------------------------------------------------
@@ -272,25 +274,46 @@ class SylmTerm:
     value: Poly
 
 
-def _base_factor(a: RootMultiset, b: RootMultiset,
-                 a_prime: SubsetSelection, b_prime: SubsetSelection):
+def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
+                ) -> dict:
     """The difference-product ratio and x-part common to both regimes.
 
-    Returns (scalar ratio, polynomial R(x,A')R(x,B')), or None when a
-    numerator product vanishes.
+    Maps each pair of index tuples (A', B') of sizes (s_a, s_b) into the
+    distinct values of A and B to (R(A excess, B̄ - B') R(Ā - A', B - B')
+    / (R(A', Ā - A') R(B', B̄ - B')), R(x, A') R(x, B')), leaving out the
+    pairs whose numerator vanishes. Like `syl_double`, it runs as an outer
+    split of B̄ and, per B', an inner split of Ā whose element factors
+    are the numerator's differences.
     """
-    abar, a_excess = a.split()
-    bbar, _ = b.split()
-    ap = a_prime.as_multiset()
-    bp = b_prime.as_multiset()
-    abar_rest = a_prime.complement().as_multiset()
-    bbar_rest = b_prime.complement().as_multiset()
-    num = rprod(a_excess, bbar_rest) * rprod(abar_rest, b.difference(bp))
-    if num == 0:
-        return None
-    den = rprod(ap, abar_rest) * rprod(bp, bbar_rest)
-    xpart = Poly.from_roots(ap.values()) * Poly.from_roots(bp.values())
-    return num / den, xpart
+    avals, bvals = a.distinct_values(), b.distinct_values()
+    mult_a = [mult for _, mult in a.entries]
+    mult_b = [mult for _, mult in b.entries]
+    mbar, nbar = len(avals), len(bvals)
+    den = _denominator(avals, bvals)
+    wa, wb = _scaled(avals, den), _scaled(bvals, den)
+    ta, tb = _DifferenceTable(wa), _DifferenceTable(wb)
+    cross = [[u - v for v in wb] for u in wa]
+    # m'(n̄ - s_b) + (m̄ - s_a)(n - s_b) differences over s_a(m̄ - s_a) +
+    # s_b(n̄ - s_b)
+    exp = (s_a * (mbar - s_a) + s_b * (nbar - s_b)
+           - (a.size - mbar) * (nbar - s_b) - (mbar - s_a) * (b.size - s_b))
+    vand = ta.vandermonde * tb.vandermonde
+    table = {}
+    for (bp, b_rest), outer in tb.splits((s_b, nbar - s_b), (None, None)):
+        in_ap = [prod(row[j] for j in b_rest) ** (ma - 1)
+                 for row, ma in zip(cross, mult_a)]
+        out_ap = [e * prod(row[j] ** mult_b[j] for j in b_rest)
+                  * prod(row[j] ** (mult_b[j] - 1) for j in bp)
+                  for e, row in zip(in_ap, cross)]
+        bp_roots = [wb[j] for j in bp]
+        for (ap, _), weight in ta.splits((s_a, mbar - s_a), (in_ap, out_ap)):
+            # the coefficient of x^k is a product of s_a + s_b - k roots
+            xpart = _monic([wa[i] for i in ap] + bp_roots)
+            table[ap, bp] = (
+                _over(weight * outer, vand, den, exp),
+                Poly(_over(c, 1, den, k - s_a - s_b)
+                     for k, c in enumerate(xpart)))
+    return table
 
 
 def _terms_collapsed(a: RootMultiset, b: RootMultiset,
@@ -306,11 +329,12 @@ def _terms_collapsed(a: RootMultiset, b: RootMultiset,
     empty = IndexPartition(0, ((), (), ()))
     if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
         return
+    bases = _base_table(a, b, s_a, s_b)
     for a_idx in combinations(range(mbar), s_a):
         a_prime = SubsetSelection(abar, a_idx)
         for b_idx in combinations(range(nbar), s_b):
             b_prime = SubsetSelection(bbar, b_idx)
-            base = _base_factor(a, b, a_prime, b_prime)
+            base = bases.get((a_idx, b_idx))
             if base is None:
                 continue
             ratio, xpart = base
@@ -330,7 +354,7 @@ def _terms_general(a: RootMultiset, b: RootMultiset,
     lo = m + n - 2 * d  # lowest index admitted into R1
     window = tuple(i for i in range(max(lo, 1), r + 1))
     r1_cap = max(0, d - (mbar + nbar) + 1)
-    x_sym = Poly.x()
+    bases: dict = {}  # one base table per (s_a, s_b)
     for r1 in range(0, min(len(window), r1_cap) + 1):
         for r2 in range(max(0, mp - d), min(m - d, r - r1) + 1):
             r3 = r - r1 - r2
@@ -340,6 +364,9 @@ def _terms_general(a: RootMultiset, b: RootMultiset,
             s_b = r3 + min(mp, d - np_)
             if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
                 continue
+            if (s_a, s_b) not in bases:
+                bases[s_a, s_b] = _base_table(a, b, s_a, s_b)
+            base_of = bases[s_a, s_b]
             for r1_block in combinations(window, r1):
                 rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
                 for r2_block in combinations(rest, r2):
@@ -352,7 +379,7 @@ def _terms_general(a: RootMultiset, b: RootMultiset,
                         a_prime = SubsetSelection(abar, a_idx)
                         for b_idx in combinations(range(nbar), s_b):
                             b_prime = SubsetSelection(bbar, b_idx)
-                            base = _base_factor(a, b, a_prime, b_prime)
+                            base = base_of.get((a_idx, b_idx))
                             if base is None:
                                 continue
                             ratio, xpart = base
@@ -424,6 +451,8 @@ def exchange_rhs_eval(a: RootMultiset, b: RootMultiset, d: int,
     """Right-hand side of the exchange identity, summing over B instead."""
     _require_set(b, "B")
     n = b.size
+    if d < 0:
+        raise DegreeWindow(f"d={d} is negative")
     if n < d:
         raise TooFewElements(f"|B|={n} below d={d}")
     xs = tuple(qof(v) for v in xs)

@@ -20,7 +20,7 @@ from .combinatorics import binom, check_sign_lemma, enum_partitions3
 from .errors import UnknownSuite, ValidationError
 from .io import parse_multiset
 from .poly import Poly
-from .rationals import format_rational, qof
+from .rationals import qof
 from .rootsets import RootMultiset, rprod
 from .schur import SchurSpec, schur_consistency_check, schur_value
 from .sylvester import (apery_jouanolou_rhs, exchange_rhs_eval,
@@ -79,8 +79,12 @@ def grid_check_identity(lhs: Callable[..., Fraction],
 
     Agreement at (per_var_degree+1)^k points with distinct coordinates per
     axis proves equality of polynomials of per-variable degree at most
-    per_var_degree.
+    per_var_degree. A negative count or degree is refused: its grid would
+    be empty and check nothing.
     """
+    if nvars < 0 or per_var_degree < 0:
+        raise ValidationError(f"empty grid: {nvars} variables of "
+                              f"per-variable degree {per_var_degree}")
     avoid_set = {qof(v) for v in avoid}
     values: List[Fraction] = []
     candidate = 0
@@ -403,7 +407,7 @@ def _gen_prop23(cfg: FuzzConfig):
         xs = [_rand_rational(rng, cfg.coeff_bound)
               for _ in range(esize - d)]
         yield {"e": e.to_shorthand(), "d": d,
-               "xs": [format_rational(v) for v in xs]}
+               "xs": [str(v) for v in xs]}
 
 
 def _check_prop23(inst: dict) -> dict:
@@ -415,8 +419,8 @@ def _check_prop23(inst: dict) -> dict:
         want = h(xs)
         if got != want:
             return {"ok": False, "h": name,
-                    "got": format_rational(got),
-                    "want": format_rational(want)}
+                    "got": str(got),
+                    "want": str(want)}
     return {"ok": True}
 
 

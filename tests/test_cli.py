@@ -182,6 +182,13 @@ class TestVerify:
         '{"suite": "thm14", "instance": {"a": "1"}}',
         '{"suite": "lemma24", "instance": {"a": "1:1", "b": "2:1", "d": "1",'
         ' "nx": 1, "part": 1}}',
+        # a negative degree or variable count would make an empty grid
+        '{"suite": "lemma24", "instance": {"a": "1,2", "b": "3,4", "d": -1,'
+        ' "nx": 1, "part": 1}}',
+        '{"suite": "prop21", "instance": {"a": "1,2", "b": "3,4",'
+        ' "e": "5,6,7,8,9", "d": -1, "nx": 1}}',
+        '{"suite": "lemma24", "instance": {"a": "1,2", "b": "3,4", "d": 1,'
+        ' "nx": -1, "part": 1}}',
     ])
     def test_replay_bad_record(self, capsys, tmp_path, content):
         path = tmp_path / "inst.json"

@@ -9,8 +9,9 @@ from sylres.combinatorics import binom
 from sylres.errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                            MultiplicityNotOne, TooFewElements)
 from sylres.poly import Poly
-from sylres.rootsets import RootMultiset, rprod, rprod_vals
-from sylres.sylvester import (apery_jouanolou_rhs, exchange_rhs_eval,
+from sylres.rootsets import RootMultiset, SubsetSelection, rprod, rprod_vals
+from sylres.sylvester import (_base_table, apery_jouanolou_rhs,
+                              exchange_rhs_eval,
                               single_sum_eval, sres_det, syl_double,
                               syl_single, sylm, sylm_terms, sym_interp_eval)
 from sylres.verify import _symmetric_pool
@@ -214,6 +215,10 @@ class TestExchangeRhs:
         with pytest.raises(TooFewElements):
             exchange_rhs_eval(sets(1, 2), sets(3), 2, ())
 
+    def test_negative_d(self):
+        with pytest.raises(DegreeWindow):
+            exchange_rhs_eval(sets(1, 2), sets(3, 4), -1, ())
+
 
 class TestAperyJouanolou:
     def test_matches_single_sum(self):
@@ -353,6 +358,21 @@ def ref_apery_jouanolou_rhs(a, b, d, e, xs):
     return total
 
 
+def ref_base_factor(a, b, a_prime, b_prime):
+    abar, a_excess = a.split()
+    bbar, _ = b.split()
+    ap = a_prime.as_multiset()
+    bp = b_prime.as_multiset()
+    abar_rest = a_prime.complement().as_multiset()
+    bbar_rest = b_prime.complement().as_multiset()
+    num = rprod(a_excess, bbar_rest) * rprod(abar_rest, b.difference(bp))
+    if num == 0:
+        return None
+    den = rprod(ap, abar_rest) * rprod(bp, bbar_rest)
+    xpart = Poly.from_roots(ap.values()) * Poly.from_roots(bp.values())
+    return num / den, xpart
+
+
 def ref_sym_interp_eval(e, d, h, xs):
     total = F(0)
     for ep_vals in combinations(e.distinct_values(), d):
@@ -444,3 +464,20 @@ def test_sym_interp_matches_reference(data):
         for _, h in _symmetric_pool(d, len(xs)):
             assert (sym_interp_eval(e, d, h, xs)
                     == ref_sym_interp_eval(e, d, h, xs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_base_table_matches_reference(data):
+    # repeated roots on both sides, and roots of B drawn from A's
+    a = multiset(data.draw, data.draw(st.integers(1, 5)))
+    b = multiset(data.draw, data.draw(st.integers(1, 5)), a.distinct_values())
+    abar, bbar = a.split()[0], b.split()[0]
+    for s_a in range(abar.size + 1):
+        for s_b in range(bbar.size + 1):
+            table = _base_table(a, b, s_a, s_b)
+            for a_idx in combinations(range(abar.size), s_a):
+                for b_idx in combinations(range(bbar.size), s_b):
+                    want = ref_base_factor(a, b, SubsetSelection(abar, a_idx),
+                                           SubsetSelection(bbar, b_idx))
+                    assert table.get((a_idx, b_idx)) == want
