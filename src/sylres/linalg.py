@@ -2,13 +2,14 @@
 
 Every determinant runs through one kernel, `_bareiss`: integer
 fraction-free elimination with row pivoting (Bareiss, Math. Comp. 22,
-1968), after each row is scaled to integers by the least common multiple
-of its denominators. `det_q` eliminates a square rational matrix. `det_p`
-admits one column of polynomials: it moves that column last and spreads
-it into one column per coefficient. Eliminating the n-1 constant columns
-then leaves in the last row the determinants with the polynomial column
-replaced by each coefficient column, which are the coefficients of the
-determinant. Row indices are 1-based to match the index-set conventions
+1968). `det_z` eliminates a square integer matrix as it is. `det_q`
+eliminates a square rational matrix after each row is scaled to integers
+by the least common multiple of its denominators, and so does `det_p`.
+`det_p` admits one column of polynomials: it moves that column last and
+spreads it into one column per coefficient. Eliminating the n-1 constant
+columns then leaves in the last row the determinants with the polynomial
+column replaced by each coefficient column, which are the coefficients of
+the determinant. Row indices are 1-based to match the index-set conventions
 used by the Schur and Sylvester modules.
 """
 
@@ -56,17 +57,13 @@ class MatrixQ:
         return f"MatrixQ({self.entries!r})"
 
 
-def _bareiss(rows: Sequence[Sequence[Fraction]], steps: int
-             ) -> Tuple[List[int], int]:
-    """(last row, scale) after integer elimination of the first `steps`
-    columns of the steps + 1 rational rows.
+def _integer_rows(rows: Sequence[Sequence[Fraction]]
+                  ) -> Tuple[List[List[int]], int]:
+    """(rows, scale): each row times the lcm of its denominators, as
+    integers, and the product of those multipliers.
 
-    Each row is scaled to integers by the lcm of its denominators, taken
-    pairwise: a starred `lcm` would build an argument tuple as long as the
-    row. Entry j >= steps of the last row, over scale, is then the
-    determinant of columns 0..steps-1 and j of the rows; scale also
-    carries the sign of the row swaps. Every entry is 0 when those
-    columns have no pivot.
+    The lcm is taken pairwise: a starred `lcm` would build an argument
+    tuple as long as the row.
     """
     a, scale = [], 1
     for row in rows:
@@ -75,16 +72,27 @@ def _bareiss(rows: Sequence[Sequence[Fraction]], steps: int
             den = math.lcm(den, v.denominator)
         scale *= den
         a.append([v.numerator * (den // v.denominator) for v in row])
-    prev = 1
+    return a, scale
+
+
+def _bareiss(a: List[List[int]], steps: int) -> Tuple[List[int], int]:
+    """(last row, sign) after integer elimination, in place, of the first
+    `steps` columns of the steps + 1 integer rows `a`.
+
+    Entry j >= steps of the last row, times sign, is then the determinant
+    of columns 0..steps-1 and j of the rows; sign is that of the row
+    swaps. Every entry is 0 when those columns have no pivot.
+    """
+    sign, prev = 1, 1
     for k in range(steps):
         if a[k][k] == 0:
             for i in range(k + 1, len(a)):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
-                    scale = -scale
+                    sign = -sign
                     break
             else:
-                return [0] * len(a[-1]), scale
+                return [0] * len(a[-1]), sign
         pivot = a[k][k]
         tail = a[k][k + 1:]
         for i in range(k + 1, len(a)):
@@ -93,7 +101,19 @@ def _bareiss(rows: Sequence[Sequence[Fraction]], steps: int
             row[k + 1:] = [(x * pivot - aik * y) // prev
                            for x, y in zip(row[k + 1:], tail)]
         prev = pivot
-    return a[-1], scale
+    return a[-1], sign
+
+
+def det_z(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix, given as its rows."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise NotSquare(f"{n} rows of widths "
+                        f"{sorted({len(row) for row in rows})}")
+    if n == 0:
+        return 1
+    last, sign = _bareiss([list(row) for row in rows], n - 1)
+    return sign * last[-1]
 
 
 def det_q(m: MatrixQ) -> Fraction:
@@ -103,8 +123,9 @@ def det_q(m: MatrixQ) -> Fraction:
     n = m.rows
     if n == 0:
         return Q1
-    last, scale = _bareiss(m.entries, n - 1)
-    return Fraction(last[-1], scale)
+    a, scale = _integer_rows(m.entries)
+    last, sign = _bareiss(a, n - 1)
+    return Fraction(sign * last[-1], scale)
 
 
 def det_p(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -125,11 +146,12 @@ def det_p(rows: Sequence[Sequence[Poly]]) -> Poly:
     width = max(len(row[col].coeffs) for row in rows)
     spread = [[c.constant_value() for j, c in enumerate(row) if j != col]
               + [row[col].coeff(k) for k in range(width)] for row in rows]
-    last, scale = _bareiss(spread, n - 1)
+    a, scale = _integer_rows(spread)
+    last, sign = _bareiss(a, n - 1)
     # Moving column col last takes n-1-col adjacent swaps.
     if (n - 1 - col) % 2:
-        scale = -scale
-    return Poly(Fraction(c, scale) for c in last[n - 1:])
+        sign = -sign
+    return Poly(Fraction(sign * c, scale) for c in last[n - 1:])
 
 
 def _confluent_columns(k: int, value: Fraction, mult: int):

@@ -8,10 +8,20 @@ All values are immutable and all operations are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from .errors import DivisionByZeroPoly, NotDivisible, ValidationError
-from .rationals import Q0, Q1, qof
+from .rationals import Q0, Q1, common_denominator, qof, scaled
+
+
+def linear_product(roots: Sequence[int]) -> List[int]:
+    """Ascending coefficients of prod (x - r) over the integer roots."""
+    out = [1]
+    for r in roots:
+        out = [0] + out
+        for k in range(len(out) - 1):
+            out[k] -= r * out[k + 1]
+    return out
 
 
 class Poly:
@@ -50,11 +60,17 @@ class Poly:
 
     @classmethod
     def from_roots(cls, roots: Iterable) -> "Poly":
-        """Monic product of (x - a) over the given roots, with repetition."""
-        p = cls.one()
-        for a in roots:
-            p = p * cls((-qof(a), Q1))
-        return p
+        """Monic product of (x - a) over the given roots, with repetition.
+
+        The roots are scaled to integers w = D a by their least common
+        denominator D. The coefficient of x^k in prod (x - w) is D^(r-k)
+        times the one sought, so each coefficient is one Fraction.
+        """
+        roots = [qof(a) for a in roots]
+        den = common_denominator(roots)
+        coeffs = linear_product(scaled(roots, den))
+        r = len(roots)
+        return cls(Fraction(c, den ** (r - k)) for k, c in enumerate(coeffs))
 
     # -- inspection -----------------------------------------------------------
 

@@ -9,6 +9,8 @@ could be substituted in one place.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Iterable, List, Sequence
 
 from .errors import ValidationError
 
@@ -37,3 +39,13 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:
         raise ValidationError(f"malformed rational {text!r}")
 
+
+def common_denominator(*groups: Iterable[Fraction]) -> int:
+    """Least common denominator of every value in the groups."""
+    return lcm(*(v.denominator for group in groups for v in group))
+
+
+def scaled(values: Sequence[Fraction], den: int) -> List[int]:
+    """The values times a common multiple den of their denominators, as
+    integers."""
+    return [v.numerator * (den // v.denominator) for v in values]

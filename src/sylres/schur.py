@@ -8,10 +8,20 @@ lambda_j = eps_j - (r-j), so lambda_1 <= |R|.
 
 Values come from the dual Jacobi-Trudi identity s_lambda = det(e_{lambda'_i
 - i + j}) on the elementary symmetric values e_j(X), a determinant of side
-lambda_1 (Macdonald, Symmetric Functions and Hall Polynomials, I.3). With one
+lambda_1 (Macdonald, Symmetric Functions and Hall Polynomials, I.3). The
+kernel is integer. The points are scaled by their common denominator D, the
+e_j of the scaled points come from one integer product of linear factors,
+and the determinant runs on `linalg.det_z`. s_lambda is homogeneous of
+degree |lambda|, so the value is that integer over D^|lambda|. With one
 symbolic extra point x the branching rule gives the polynomial:
 s_lambda(X + x) = sum of s_mu(X) x^{|lambda/mu|} over the mu for which
-lambda/mu is a horizontal strip.
+lambda/mu is a horizontal strip, one integer sum over D^|mu| per
+coefficient.
+
+`schur_value` and `schur_poly_x` are cached entries to this kernel for one
+`SchurSpec`. `sylm` calls the kernel functions themselves (`elementary`,
+`removal_partition`, `schur_scaled`, `schur_scaled_x`) and keeps its own
+tables for the length of one call.
 
 The determinant ratio itself is `schur_vandermonde_ratio`, the reference of
 `schur_consistency_check`. With the symbolic point it is an exact polynomial
@@ -24,17 +34,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import EmptyPoints, InconsistentRemovalCount
-from .linalg import (MatrixQ, det_p, det_q, remove_rows,
+from .linalg import (MatrixQ, det_p, det_q, det_z, remove_rows,
                      vandermonde_confluent, vandermonde_confluent_with_x)
-from .poly import Poly
-from .rationals import Q0, Q1
+from .poly import Poly, linear_product
+from .rationals import Q1, common_denominator, scaled
 from .rootsets import RootMultiset
 
-# Entries kept by each cache below. Unbounded, the caches grow with every
-# distinct spec a process sees.
+# Entries kept by each cache below, and by each of `sylm`'s per-call Schur
+# tables. Unbounded, the caches grow with every distinct spec a process
+# sees, and the tables with every partition of a call.
 SCHUR_CACHE_SIZE = 1024
 
 
@@ -58,31 +69,62 @@ class SchurSpec:
                 f"removed rows {self.removed} outside 1..{self.k}")
 
 
-def _partition(spec: SchurSpec, rows: int) -> Tuple[int, ...]:
+def removal_partition(k: int, removed: Sequence[int],
+                      rows: int) -> Tuple[int, ...]:
     """lambda_j = eps_j - (rows - j) over the kept exponents eps_j."""
-    drop = set(spec.removed)
-    kept = [spec.k - i for i in range(1, spec.k + 1) if i not in drop]
+    drop = set(removed)
+    kept = [k - i for i in range(1, k + 1) if i not in drop]
     return tuple(e - (rows - j) for j, e in enumerate(kept, start=1))
 
 
-# sylm asks for many row removals on the same points.
-@lru_cache(maxsize=SCHUR_CACHE_SIZE)
-def _elementary(points: RootMultiset) -> Tuple[Fraction, ...]:
-    """(e_0, ..., e_r) of the points: prod (x - a) = sum (-1)^j e_j x^(r-j)."""
-    coeffs = Poly.from_roots(points.values()).coeffs
-    return tuple(-c if j % 2 else c for j, c in enumerate(reversed(coeffs)))
+def elementary(w: Sequence[int]) -> List[int]:
+    """(e_0, ..., e_r) of the integer points w, from prod (x - w) =
+    sum (-1)^j e_j x^(r-j)."""
+    coeffs = linear_product(w)
+    return [-c if j % 2 else c for j, c in enumerate(reversed(coeffs))]
 
 
-def _dual_jacobi_trudi(lam: Sequence[int], e: Sequence[Fraction]) -> Fraction:
-    """s_lambda = det(e_{lambda'_i - i + j}), of side lambda_1."""
+def jacobi_trudi(lam: Sequence[int], e: Sequence[int]) -> int:
+    """det(e_{lambda'_i - i + j}), of side lambda_1, on integer e_j."""
     side = lam[0] if lam else 0
-    conj = [sum(1 for p in lam if p > i) for i in range(side)]
+    r = len(e)
+    rows = []
+    for i in range(side):
+        t = sum(1 for p in lam if p > i) - i
+        rows.append([e[t + j] if 0 <= t + j < r else 0
+                     for j in range(side)])
+    return det_z(rows)
 
-    def entry(t: int) -> Fraction:
-        return e[t] if 0 <= t < len(e) else Q0
 
-    return det_q(MatrixQ([[entry(conj[i] - i + j) for j in range(side)]
-                          for i in range(side)]))
+def schur_scaled(lam: Sequence[int], e: Sequence[int], den: int) -> Fraction:
+    """s_lambda(X), given the e_j of the scaled points w = den X.
+
+    s_lambda is homogeneous of degree |lambda|, so the determinant on the
+    e_j(w) = den^j e_j(X) is den^|lambda| times the value.
+    """
+    return Fraction(jacobi_trudi(lam, e), den ** sum(lam))
+
+
+def schur_scaled_x(lam: Sequence[int], e: Sequence[int], den: int) -> Poly:
+    """s_lambda(X + x), given the e_j of the scaled points w = den X.
+
+    The coefficient of x^(|lambda| - t) sums s_mu(X) over the mu of size t
+    that make lambda/mu a horizontal strip: one Fraction over den^t.
+    """
+    size = sum(lam)
+    sums = [0] * (size + 1)
+    strips = [range(lam[j + 1], lam[j] + 1) for j in range(len(lam) - 1)]
+    for mu in product(*strips):
+        sums[sum(mu)] += jacobi_trudi(mu, e)
+    return Poly(Fraction(sums[size - k], den ** (size - k))
+                for k in range(size + 1))
+
+
+def _scaled_points(points: RootMultiset) -> Tuple[List[int], int]:
+    """The points with multiplicity times their common denominator D,
+    as integers, and D."""
+    den = common_denominator(points.distinct_values())
+    return scaled(points.values(), den), den
 
 
 @lru_cache(maxsize=SCHUR_CACHE_SIZE)
@@ -95,7 +137,9 @@ def schur_value(spec: SchurSpec) -> Fraction:
         if spec.k == 0:
             return Q1  # empty-determinant convention
         raise EmptyPoints("no points: denominator Vandermonde is undefined")
-    return _dual_jacobi_trudi(_partition(spec, r), _elementary(spec.points))
+    w, den = _scaled_points(spec.points)
+    return schur_scaled(removal_partition(spec.k, spec.removed, r),
+                        elementary(w), den)
 
 
 @lru_cache(maxsize=SCHUR_CACHE_SIZE)
@@ -103,14 +147,9 @@ def schur_poly_x(spec: SchurSpec) -> Poly:
     """S_k^(R)(X with one symbolic point), as an exact polynomial."""
     if not spec.with_x:
         raise ValueError("spec.with_x must be set")
-    lam = _partition(spec, spec.points.size + 1)
-    e = _elementary(spec.points)
-    size = sum(lam)
-    coeffs = [Q0] * (size + 1)
-    strips = [range(lam[j + 1], lam[j] + 1) for j in range(len(lam) - 1)]
-    for mu in product(*strips):
-        coeffs[size - sum(mu)] += _dual_jacobi_trudi(mu, e)
-    return Poly(coeffs)
+    w, den = _scaled_points(spec.points)
+    lam = removal_partition(spec.k, spec.removed, spec.points.size + 1)
+    return schur_scaled_x(lam, elementary(w), den)
 
 
 def schur_vandermonde_ratio(spec: SchurSpec) -> Union[Fraction, Poly]:

@@ -12,9 +12,13 @@ kernel, `_DifferenceTable`: the values are scaled to integers by their common
 denominator, every term is an integer over one Vandermonde product, and each
 result makes one Fraction per output coefficient. The multiset sum `sylm`
 takes its difference-product ratios and x-parts from `_base_table`, built on
-the same kernel once per subset sizes and call. The literal forms of these
-sums, which build a `RootMultiset` per block and multiply `rprod` values,
-survive only as test references.
+the same kernel once per subset sizes and call. Its confluent Schur factors
+run on the integer Jacobi–Trudi kernel of `schur`, over the same scaled
+values, and are kept in `_SchurTables` for one call, keyed by the removed
+rows and the index tuples of the subsets; no `RootMultiset` or `SchurSpec`
+is built per term. The literal forms of these sums, which build a
+`RootMultiset` per block and multiply `rprod` values or ask the cached Schur
+entries, survive only as test references.
 """
 
 from __future__ import annotations
@@ -22,17 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .combinatorics import IndexPartition, enum_splits, sigma_sign
 from .errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
-                     MultiplicityNotOne, TooFewElements)
+                     InconsistentRemovalCount, MultiplicityNotOne,
+                     TooFewElements)
 from .linalg import det_p
-from .poly import Poly
-from .rationals import qof
+from .poly import Poly, linear_product
+from .rationals import common_denominator, qof, scaled
 from .rootsets import RootMultiset, SubsetSelection
-from .schur import SchurSpec, schur_poly_x, schur_value
+from .schur import (SCHUR_CACHE_SIZE, elementary, removal_partition,
+                    schur_scaled, schur_scaled_x)
 
 
 def check_degree_window(m: int, n: int, d: int) -> None:
@@ -84,30 +90,10 @@ def sres_det(f: Poly, g: Poly, d: int) -> Poly:
 # -- split-sum kernel ------------------------------------------------------
 
 
-def _denominator(*groups: Sequence[Fraction]) -> int:
-    """Least common denominator of every value in the groups."""
-    return lcm(*(v.denominator for group in groups for v in group))
-
-
-def _scaled(values: Sequence[Fraction], den: int) -> list[int]:
-    """The values times their common denominator den, as integers."""
-    return [v.numerator * (den // v.denominator) for v in values]
-
-
 def _scaled_entries(x: RootMultiset, den: int) -> list[Tuple[int, int]]:
     """(value times den, multiplicity) for each distinct value of x."""
-    return list(zip(_scaled(x.distinct_values(), den),
+    return list(zip(scaled(x.distinct_values(), den),
                     (mult for _, mult in x.entries)))
-
-
-def _monic(roots: Sequence[int]) -> list[int]:
-    """Ascending coefficients of prod (x - r) over the integer roots."""
-    out = [1]
-    for r in roots:
-        out = [0] + out
-        for k in range(len(out) - 1):
-            out[k] -= r * out[k + 1]
-    return out
 
 
 def _over(num: int, vand: int, den: int, exp: int) -> Fraction:
@@ -199,14 +185,14 @@ def syl_single(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
     if not 0 <= d <= m:
         raise DegreeWindow(f"d={d} outside 0..{m}")
     avals = a.distinct_values()
-    den = _denominator(avals, b.distinct_values())
-    wa = _scaled(avals, den)
+    den = common_denominator(avals, b.distinct_values())
+    wa = scaled(avals, den)
     wb = _scaled_entries(b, den)
     table = _DifferenceTable(wa)
     a2_factors = [prod((v - u) ** mu for u, mu in wb) for v in wa]
     coeffs = [0] * (d + 1)
     for (a1, _), weight in table.splits((d, m - d), (None, a2_factors)):
-        for k, c in enumerate(_monic([wa[i] for i in a1])):
+        for k, c in enumerate(linear_product([wa[i] for i in a1])):
             coeffs[k] += weight * c
     # R(A2, B) has (m-d)n differences, R(A1, A2) d(m-d), and the
     # coefficient of x^k in R(x, A1) is a product of d-k roots.
@@ -229,8 +215,8 @@ def syl_double(a: RootMultiset, b: RootMultiset, p: int, q: int) -> Poly:
     if not (0 <= p <= m and 0 <= q <= n):
         raise DegreeWindow(f"(p,q)=({p},{q}) outside ({m},{n})")
     avals, bvals = a.distinct_values(), b.distinct_values()
-    den = _denominator(avals, bvals)
-    wa, wb = _scaled(avals, den), _scaled(bvals, den)
+    den = common_denominator(avals, bvals)
+    wa, wb = scaled(avals, den), scaled(bvals, den)
     ta, tb = _DifferenceTable(wa), _DifferenceTable(wb)
     cross_ab = [[u - v for v in wb] for u in wa]
     a_polys: dict[tuple, list[int]] = {}
@@ -242,12 +228,12 @@ def syl_double(a: RootMultiset, b: RootMultiset, p: int, q: int) -> Poly:
         for (ap, _), weight in ta.splits((p, m - p), (in_bp, out_bp)):
             poly = a_polys.get(ap)
             if poly is None:
-                poly = a_polys[ap] = _monic([wa[i] for i in ap])
+                poly = a_polys[ap] = linear_product([wa[i] for i in ap])
             for k, c in enumerate(poly):
                 inner[k] += weight * c
         if not any(inner):
             continue
-        for j, c in enumerate(_monic([wb[i] for i in bp])):
+        for j, c in enumerate(linear_product([wb[i] for i in bp])):
             c *= outer
             for k, e in enumerate(inner):
                 coeffs[j + k] += c * e
@@ -289,8 +275,8 @@ def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
     mult_a = [mult for _, mult in a.entries]
     mult_b = [mult for _, mult in b.entries]
     mbar, nbar = len(avals), len(bvals)
-    den = _denominator(avals, bvals)
-    wa, wb = _scaled(avals, den), _scaled(bvals, den)
+    den = common_denominator(avals, bvals)
+    wa, wb = scaled(avals, den), scaled(bvals, den)
     ta, tb = _DifferenceTable(wa), _DifferenceTable(wb)
     cross = [[u - v for v in wb] for u in wa]
     # m'(n̄ - s_b) + (m̄ - s_a)(n - s_b) differences over s_a(m̄ - s_a) +
@@ -308,12 +294,20 @@ def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
         bp_roots = [wb[j] for j in bp]
         for (ap, _), weight in ta.splits((s_a, mbar - s_a), (in_ap, out_ap)):
             # the coefficient of x^k is a product of s_a + s_b - k roots
-            xpart = _monic([wa[i] for i in ap] + bp_roots)
+            xpart = linear_product([wa[i] for i in ap] + bp_roots)
             table[ap, bp] = (
                 _over(weight * outer, vand, den, exp),
                 Poly(_over(c, 1, den, k - s_a - s_b)
                      for k, c in enumerate(xpart)))
     return table
+
+
+def _selections(parent: RootMultiset,
+                size: int) -> dict[Tuple[int, ...], SubsetSelection]:
+    """A SubsetSelection per index tuple of the given size, in
+    lexicographic order."""
+    return {idx: SubsetSelection(parent, idx)
+            for idx in combinations(range(parent.distinct_count), size)}
 
 
 def _terms_collapsed(a: RootMultiset, b: RootMultiset,
@@ -330,16 +324,91 @@ def _terms_collapsed(a: RootMultiset, b: RootMultiset,
     if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
         return
     bases = _base_table(a, b, s_a, s_b)
-    for a_idx in combinations(range(mbar), s_a):
-        a_prime = SubsetSelection(abar, a_idx)
-        for b_idx in combinations(range(nbar), s_b):
-            b_prime = SubsetSelection(bbar, b_idx)
+    b_primes = _selections(bbar, s_b)
+    for a_idx, a_prime in _selections(abar, s_a).items():
+        for b_idx, b_prime in b_primes.items():
             base = bases.get((a_idx, b_idx))
             if base is None:
                 continue
             ratio, xpart = base
             yield SylmTerm(empty, a_prime, b_prime, sign,
                            xpart.scale(sign * ratio))
+
+
+class _SchurTables:
+    """The Schur factors of `sylm`'s terms, kept for one call.
+
+    A term's factors are s1 on A' + B' with the symbolic point, s2 on
+    (Ā - A') + B and s3 on A + (B̄ - B'), with the rows R1 (shifted), R2
+    and R3 removed. Each is filled on a miss by the integer Jacobi–Trudi
+    kernel of `schur`, on the values scaled by the common denominator D of
+    Ā and B̄, from an e-vector of its points built once per index tuple.
+
+    A table that reaches SCHUR_CACHE_SIZE entries is emptied before it
+    takes the next, so a call's memory does not grow with its term count.
+    Few keys recur beyond the partition that made them.
+    """
+
+    def __init__(self, a: RootMultiset, b: RootMultiset, d: int):
+        avals, bvals = a.distinct_values(), b.distinct_values()
+        self.den = den = common_denominator(avals, bvals)
+        self.wa, self.wb = scaled(avals, den), scaled(bvals, den)
+        self.a_all = scaled(a.values(), den)  # with multiplicity
+        self.b_all = scaled(b.values(), den)
+        self.k1 = d + 1
+        self.k = a.size + b.size - d
+        self.e1: dict = {}  # e-vector of A' + B' per (A' idx, B' idx)
+        self.e2: dict = {}  # of (Ā - A') + B per A' idx
+        self.e3: dict = {}  # of A + (B̄ - B') per B' idx
+        self.s1: dict = {}  # s1 per (R1 shifted, A' idx, B' idx)
+        self.s2: dict = {}  # s2 per (R2, A' idx)
+        self.s3: dict = {}  # s3 per (R3, B' idx)
+
+    @staticmethod
+    def _store(table: dict, key, value):
+        if len(table) >= SCHUR_CACHE_SIZE:
+            table.clear()
+        table[key] = value
+        return value
+
+    def factor1(self, removed: tuple, a_idx: tuple, b_idx: tuple) -> Poly:
+        value = self.s1.get((removed, a_idx, b_idx))
+        if value is None:
+            e = self.e1.get((a_idx, b_idx))
+            if e is None:
+                e = self.e1[a_idx, b_idx] = elementary(
+                    [self.wa[i] for i in a_idx] + [self.wb[j] for j in b_idx])
+            # the points and x fill len(e) rows
+            lam = removal_partition(self.k1, removed, len(e))
+            value = self._store(self.s1, (removed, a_idx, b_idx),
+                                schur_scaled_x(lam, e, self.den))
+        return value
+
+    def factor2(self, removed: tuple, a_idx: tuple) -> Fraction:
+        value = self.s2.get((removed, a_idx))
+        if value is None:
+            e = self.e2.get(a_idx)
+            if e is None:
+                e = self.e2[a_idx] = elementary(
+                    [w for i, w in enumerate(self.wa) if i not in a_idx]
+                    + self.b_all)
+            lam = removal_partition(self.k, removed, len(e) - 1)
+            value = self._store(self.s2, (removed, a_idx),
+                                schur_scaled(lam, e, self.den))
+        return value
+
+    def factor3(self, removed: tuple, b_idx: tuple) -> Fraction:
+        value = self.s3.get((removed, b_idx))
+        if value is None:
+            e = self.e3.get(b_idx)
+            if e is None:
+                e = self.e3[b_idx] = elementary(
+                    self.a_all
+                    + [w for j, w in enumerate(self.wb) if j not in b_idx])
+            lam = removal_partition(self.k, removed, len(e) - 1)
+            value = self._store(self.s3, (removed, b_idx),
+                                schur_scaled(lam, e, self.den))
+        return value
 
 
 def _terms_general(a: RootMultiset, b: RootMultiset,
@@ -354,7 +423,10 @@ def _terms_general(a: RootMultiset, b: RootMultiset,
     lo = m + n - 2 * d  # lowest index admitted into R1
     window = tuple(i for i in range(max(lo, 1), r + 1))
     r1_cap = max(0, d - (mbar + nbar) + 1)
+    tables = _SchurTables(a, b, d)
     bases: dict = {}  # one base table per (s_a, s_b)
+    a_subsets: dict = {}  # the selections of each size
+    b_subsets: dict = {}
     for r1 in range(0, min(len(window), r1_cap) + 1):
         for r2 in range(max(0, mp - d), min(m - d, r - r1) + 1):
             r3 = r - r1 - r2
@@ -364,35 +436,35 @@ def _terms_general(a: RootMultiset, b: RootMultiset,
             s_b = r3 + min(mp, d - np_)
             if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
                 continue
+            # each factor removes as many rows as its points leave over
+            if (r1 != d - s_a - s_b or r2 != m - d - (mbar - s_a)
+                    or r3 != n - d - (nbar - s_b)):
+                raise InconsistentRemovalCount(
+                    f"removed row counts ({r1}, {r2}, {r3}) do not fit "
+                    f"subsets of sizes ({s_a}, {s_b})")
             if (s_a, s_b) not in bases:
                 bases[s_a, s_b] = _base_table(a, b, s_a, s_b)
             base_of = bases[s_a, s_b]
+            if s_a not in a_subsets:
+                a_subsets[s_a] = _selections(abar, s_a)
+            if s_b not in b_subsets:
+                b_subsets[s_b] = _selections(bbar, s_b)
             for r1_block in combinations(window, r1):
                 rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
+                r1_shift = tuple(i - (m + n - 2 * d - 1) for i in r1_block)
                 for r2_block in combinations(rest, r2):
                     r3_block = tuple(i for i in rest if i not in r2_block)
                     part = IndexPartition(r, (r1_block, r2_block, r3_block))
                     sign = sigma_sign(m, n, mbar, nbar, d, part)
-                    r1_shift = tuple(i - (m + n - 2 * d - 1)
-                                     for i in r1_block)
-                    for a_idx in combinations(range(mbar), s_a):
-                        a_prime = SubsetSelection(abar, a_idx)
-                        for b_idx in combinations(range(nbar), s_b):
-                            b_prime = SubsetSelection(bbar, b_idx)
+                    for a_idx, a_prime in a_subsets[s_a].items():
+                        for b_idx, b_prime in b_subsets[s_b].items():
                             base = base_of.get((a_idx, b_idx))
                             if base is None:
                                 continue
                             ratio, xpart = base
-                            ap = a_prime.as_multiset()
-                            bp = b_prime.as_multiset()
-                            s1 = schur_poly_x(SchurSpec(
-                                d + 1, r1_shift, ap.union(bp), with_x=True))
-                            s2 = schur_value(SchurSpec(
-                                m + n - d, r2_block,
-                                a_prime.complement().as_multiset().union(b)))
-                            s3 = schur_value(SchurSpec(
-                                m + n - d, r3_block,
-                                a.union(b_prime.complement().as_multiset())))
+                            s1 = tables.factor1(r1_shift, a_idx, b_idx)
+                            s2 = tables.factor2(r2_block, a_idx)
+                            s3 = tables.factor3(r3_block, b_idx)
                             value = (xpart * s1).scale(sign * ratio * s2 * s3)
                             yield SylmTerm(part, a_prime, b_prime, sign, value)
 
@@ -434,8 +506,8 @@ def single_sum_eval(a: RootMultiset, b: RootMultiset, d: int,
         raise DegreeWindow(f"d={d} outside 0..{m}")
     xs = tuple(qof(v) for v in xs)
     avals = a.distinct_values()
-    den = _denominator(avals, b.distinct_values(), xs)
-    wa, wx = _scaled(avals, den), _scaled(xs, den)
+    den = common_denominator(avals, b.distinct_values(), xs)
+    wa, wx = scaled(avals, den), scaled(xs, den)
     wb = _scaled_entries(b, den)
     table = _DifferenceTable(wa)
     a1_factors = [prod(x - v for x in wx) for v in wa]
@@ -458,8 +530,8 @@ def exchange_rhs_eval(a: RootMultiset, b: RootMultiset, d: int,
     xs = tuple(qof(v) for v in xs)
     m = a.size
     bvals = b.distinct_values()
-    den = _denominator(bvals, a.distinct_values(), xs)
-    wb, wx = _scaled(bvals, den), _scaled(xs, den)
+    den = common_denominator(bvals, a.distinct_values(), xs)
+    wb, wx = scaled(bvals, den), scaled(xs, den)
     wa = _scaled_entries(a, den)
     table = _DifferenceTable(wb)
     b1_factors = [prod(x - v for x in wx) for v in wb]
@@ -489,8 +561,8 @@ def apery_jouanolou_rhs(a: RootMultiset, b: RootMultiset, d: int,
         raise DegreeWindow(f"d={d} outside 0..{m}")
     evals = e.distinct_values()
     size = len(evals)
-    den = _denominator(evals, a.distinct_values(), b.distinct_values(), xs)
-    we, wx = _scaled(evals, den), _scaled(xs, den)
+    den = common_denominator(evals, a.distinct_values(), b.distinct_values(), xs)
+    we, wx = scaled(evals, den), scaled(xs, den)
     wa, wb = _scaled_entries(a, den), _scaled_entries(b, den)
     table = _DifferenceTable(we)
     factors = ([prod(x - v for x in wx) for v in we],
@@ -519,8 +591,8 @@ def sym_interp_eval(e: RootMultiset, d: int,
     if len(xs) != size - d:
         raise ArityMismatch(f"need {size - d} values, got {len(xs)}")
     evals = e.distinct_values()
-    den = _denominator(evals, xs)
-    we, wx = _scaled(evals, den), _scaled(xs, den)
+    den = common_denominator(evals, xs)
+    we, wx = scaled(evals, den), scaled(xs, den)
     table = _DifferenceTable(we)
     ep_factors = [prod(x - v for x in wx) for v in we]
     total = Fraction(0)

@@ -32,11 +32,31 @@ import random
 
 @dataclass(frozen=True)
 class FuzzConfig:
+    """What the generators draw: `count` instances of degree at most
+    `max_deg`, on rationals p/q with |p| and q at most `coeff_bound`.
+
+    A negative count, or a degree or bound below 1, is refused here with
+    ValidationError. `_sample_distinct` refuses more distinct values than
+    the bound admits, and `lemma24` a max degree below 3. No check draws
+    a number, so a config that can be met draws the same instances
+    whether or not the checks run.
+    """
+
     seed: int = 0
     count: int = 50
     max_deg: int = 6
     coeff_bound: int = 8
     allow_shared_roots: bool = True
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValidationError(f"count must be >= 0, got {self.count}")
+        if self.max_deg < 1:
+            raise ValidationError(
+                f"max degree must be >= 1, got {self.max_deg}")
+        if self.coeff_bound < 1:
+            raise ValidationError(
+                f"coefficient bound must be >= 1, got {self.coeff_bound}")
 
 
 @dataclass
@@ -106,9 +126,34 @@ def _rand_rational(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
+def _pool_size(bound: int) -> int:
+    """How many distinct values `_rand_rational(rng, bound)` can return.
+
+    They are 0 and, with either sign, each p/q in lowest terms with p and
+    q in 1..bound: 2 * sum(phi(q) for q <= bound) - 1 of them, counted
+    with Euler's phi from a sieve.
+    """
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:  # p is prime
+            for j in range(p, bound + 1, p):
+                phi[j] -= phi[j] // p
+    return 1 + 2 * (2 * sum(phi[1:]) - 1)
+
+
 def _sample_distinct(rng: random.Random, k: int, bound: int,
                      avoid: Sequence[Fraction] = ()) -> List[Fraction]:
     seen = set(avoid)
+    # The 2 bound + 1 integers in range alone leave k values free up to
+    # here. Past it, the O(bound) sieve costs no more than the k draws.
+    if k + len(seen) > 2 * bound + 1:
+        free = _pool_size(bound) - sum(
+            1 for v in seen if abs(v.numerator) <= bound
+            and v.denominator <= bound)
+        if k > free:
+            raise ValidationError(
+                f"cannot draw {k} distinct rationals with numerator and "
+                f"denominator bound {bound}: {free} are free")
     out: List[Fraction] = []
     while len(out) < k:
         q = _rand_rational(rng, bound)
@@ -199,12 +244,13 @@ def _check_thm14(inst: dict) -> dict:
     a = parse_multiset(inst["a"])
     b = parse_multiset(inst["b"])
     m, n = a.size, b.size
+    f = Poly.from_roots(a.values())
+    g = Poly.from_roots(b.values())
     regimes = set()
     for d in _valid_ds(m, n):
         regimes.add("collapsed" if a.excess_count + b.excess_count <= d
                     else "general")
-        lhs = sres_det(Poly.from_roots(a.values()),
-                       Poly.from_roots(b.values()), d)
+        lhs = sres_det(f, g, d)
         rhs = sylm(a, b, d).scale(_sres_sign(d, m))
         if lhs != rhs:
             return {"ok": False, "d": d,
@@ -309,6 +355,10 @@ def _check_eq3(inst: dict) -> dict:
 
 
 def _gen_lemma24(cfg: FuzzConfig):
+    # part (2) needs |B| < d <= |A| with |A| + |B| - 2d >= 0, so |A| >= 3
+    if cfg.max_deg < 3:
+        raise ValidationError(
+            f"lemma24 needs max degree >= 3, got {cfg.max_deg}")
     rng = random.Random(cfg.seed)
     emitted = 0
     while emitted < 2 * cfg.count:

@@ -1,10 +1,19 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from sylres.cli import build_parser, main
-from sylres.verify import (_SUITES, SUITE_NAMES, FuzzConfig, replay,
-                           validate_instance)
+from sylres.errors import ValidationError
+from sylres.verify import (_SUITES, SUITE_NAMES, FuzzConfig, _pool_size,
+                           _sample_distinct, replay, validate_instance)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -212,6 +221,55 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["verify", "nope"])
+
+
+class TestUnmeetableFuzzConfig:
+    """Configs no generator can meet exit 2, in a subprocess with a
+    timeout, so that a generator that loops again fails the test."""
+
+    @pytest.mark.parametrize("argv", [
+        # part 2 of lemma24 needs m + n - 2d >= 0 with n < d <= m
+        ["verify", "lemma24", "--max-deg", "2", "--count", "3"],
+        ["verify", "lemma24", "--max-deg", "1"],
+        # only -1, 0 and 1 have numerator and denominator bound 1
+        ["verify", "eq1", "--coeff-bound", "1", "--count", "3"],
+        ["verify", "schur-consistency", "--coeff-bound", "1"],
+        ["verify", "eq1", "--max-deg", "0"],
+        ["verify", "eq1", "--coeff-bound", "0"],
+        ["verify", "eq1", "--count", "-1"],
+        ["fuzz", "--count", "1", "--max-deg", "1"],
+    ])
+    def test_exits_2(self, argv):
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-m", "sylres.cli", *argv],
+                             capture_output=True, text=True, timeout=60,
+                             env=env)
+        assert out.returncode == 2, out
+        assert out.stdout == ""
+        assert out.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("bound", range(1, 13))
+    def test_pool_size(self, bound):
+        values = {F(p, q) for p in range(-bound, bound + 1)
+                  for q in range(1, bound + 1)}
+        assert _pool_size(bound) == len(values)
+
+    def test_sample_whole_pool(self):
+        rng = random.Random(0)
+        got = _sample_distinct(rng, 2, 1, avoid=[F(0), F(5)])
+        assert sorted(got) == [-1, 1]
+        with pytest.raises(ValidationError):
+            _sample_distinct(rng, 3, 1, avoid=[F(0)])
+
+    def test_meetable_edge(self, capsys):
+        # max degree 1 leaves only m = n = 1, whose two roots the pool
+        # of three values can always supply
+        rc, out, _ = run(capsys, "verify", "eq1", "--coeff-bound", "1",
+                         "--max-deg", "1", "--count", "5")
+        assert rc == 0
+        assert "[PASS] suite eq1: 5 instances" in out
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from sylres.errors import (IndexOutOfRange, MultiplePolyColumns, NotSquare,
                            NotSquareAfterRemoval, TooManyColumns)
-from sylres.linalg import (MatrixQ, det_p, det_q, remove_rows,
+from sylres.linalg import (MatrixQ, det_p, det_q, det_z, remove_rows,
                            vandermonde_confluent,
                            vandermonde_confluent_with_x)
 from sylres.poly import Poly
@@ -47,6 +48,26 @@ class TestDetQ:
 
     def test_needs_pivoting(self):
         assert det_q(MatrixQ([[0, 1], [1, 0]])) == -1
+
+
+class TestDetZ:
+    def test_2x2(self):
+        assert det_z([[1, 2], [3, 4]]) == -2
+
+    def test_empty(self):
+        assert det_z([]) == 1
+
+    def test_needs_pivoting(self):
+        assert det_z([[0, 1], [1, 0]]) == -1
+
+    def test_rows_untouched(self):
+        rows = [[2, 1], [4, 3]]
+        assert det_z(rows) == 2
+        assert rows == [[2, 1], [4, 3]]
+
+    def test_not_square(self):
+        with pytest.raises(NotSquare):
+            det_z([[1, 2]])
 
 
 class TestDetP:
@@ -275,3 +296,14 @@ def test_det_p_matches_reference(data):
         for row in poly_rows:
             row[col] = data.draw(polys)
     assert det_p(poly_rows) == ref_det_p(poly_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_rows())
+def test_det_z_matches_det_q(rows):
+    # each row scaled to integers, which keeps the singular ones singular
+    ints = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        ints.append([int(v * den) for v in row])
+    assert det_z(ints) == det_q(MatrixQ(ints)) == ref_det_q(ints)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylres.errors import DivisionByZeroPoly, NotDivisible
-from sylres.poly import Poly
+from sylres.poly import Poly, linear_product
 
 
 def P(*ascending):
@@ -71,6 +71,15 @@ class TestFromRootsAndEval:
         # x (x-1)^2 = x^3 - 2x^2 + x
         assert Poly.from_roots([0, 1, 1]) == P(0, 1, -2, 1)
 
+    def test_rational_roots(self):
+        # (x - 1/2)(x + 2/3) = x^2 + x/6 - 1/3
+        assert Poly.from_roots([F(1, 2), "-2/3"]) == P(F(-1, 3), F(1, 6), 1)
+
+    def test_linear_product(self):
+        # (x - 2)(x + 3) = x^2 + x - 6
+        assert linear_product([2, -3]) == [-6, 1, 1]
+        assert linear_product([]) == [1]
+
     def test_eval_root(self):
         assert P(2, -3, 1)(2) == 0
 
@@ -123,3 +132,18 @@ def test_roots_evaluate_to_zero(roots):
     p = Poly.from_roots(roots)
     for a in roots:
         assert p(a) == 0
+
+
+def ref_from_roots(roots):
+    """The product of (x - a) one Fraction factor at a time, as
+    `Poly.from_roots` ran before it moved onto integer coefficients."""
+    p = Poly.one()
+    for a in roots:
+        p = p * Poly((-F(a), F(1)))
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(fractions, st.integers(-9, 9)), max_size=7))
+def test_from_roots_matches_reference(roots):
+    assert Poly.from_roots(roots) == ref_from_roots(roots)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylres.combinatorics import binom
+from sylres.combinatorics import IndexPartition, binom, sigma_sign
 from sylres.errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                            MultiplicityNotOne, TooFewElements)
 from sylres.poly import Poly
 from sylres.rootsets import RootMultiset, SubsetSelection, rprod, rprod_vals
-from sylres.sylvester import (_base_table, apery_jouanolou_rhs,
+from sylres.schur import SchurSpec, schur_poly_x, schur_value
+from sylres.sylvester import (SylmTerm, _base_table, apery_jouanolou_rhs,
                               exchange_rhs_eval,
                               single_sum_eval, sres_det, syl_double,
                               syl_single, sylm, sylm_terms, sym_interp_eval)
@@ -373,6 +374,81 @@ def ref_base_factor(a, b, a_prime, b_prime):
     return num / den, xpart
 
 
+def ref_terms_general(a, b, d):
+    """The triple-partition loop as it ran before its Schur factors moved
+    onto per-call integer tables: per term, it builds the RootMultisets of
+    the points and asks the cached schur_value and schur_poly_x."""
+    abar, _ = a.split()
+    bbar, _ = b.split()
+    m, n = a.size, b.size
+    mbar, nbar = a.distinct_count, b.distinct_count
+    mp, np_ = m - mbar, n - nbar
+    r = mp + np_ - d
+    lo = m + n - 2 * d
+    window = tuple(i for i in range(max(lo, 1), r + 1))
+    r1_cap = max(0, d - (mbar + nbar) + 1)
+    for r1 in range(0, min(len(window), r1_cap) + 1):
+        for r2 in range(max(0, mp - d), min(m - d, r - r1) + 1):
+            r3 = r - r1 - r2
+            if not max(0, np_ - d) <= r3 <= n - d:
+                continue
+            s_a = r2 + d - mp
+            s_b = r3 + min(mp, d - np_)
+            if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
+                continue
+            base_of = _base_table(a, b, s_a, s_b)
+            for r1_block in combinations(window, r1):
+                rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
+                for r2_block in combinations(rest, r2):
+                    r3_block = tuple(i for i in rest if i not in r2_block)
+                    part = IndexPartition(r, (r1_block, r2_block, r3_block))
+                    sign = sigma_sign(m, n, mbar, nbar, d, part)
+                    r1_shift = tuple(i - (m + n - 2 * d - 1)
+                                     for i in r1_block)
+                    for a_idx in combinations(range(mbar), s_a):
+                        a_prime = SubsetSelection(abar, a_idx)
+                        for b_idx in combinations(range(nbar), s_b):
+                            b_prime = SubsetSelection(bbar, b_idx)
+                            base = base_of.get((a_idx, b_idx))
+                            if base is None:
+                                continue
+                            ratio, xpart = base
+                            ap = a_prime.as_multiset()
+                            bp = b_prime.as_multiset()
+                            s1 = schur_poly_x(SchurSpec(
+                                d + 1, r1_shift, ap.union(bp), with_x=True))
+                            s2 = schur_value(SchurSpec(
+                                m + n - d, r2_block,
+                                a_prime.complement().as_multiset().union(b)))
+                            s3 = schur_value(SchurSpec(
+                                m + n - d, r3_block,
+                                a.union(b_prime.complement().as_multiset())))
+                            value = (xpart * s1).scale(sign * ratio * s2 * s3)
+                            yield SylmTerm(part, a_prime, b_prime, sign, value)
+
+
+def ref_terms_collapsed(a, b, d):
+    """The two-index loop, one SubsetSelection per visit of an index."""
+    abar, _ = a.split()
+    bbar, _ = b.split()
+    m, mbar = a.size, a.distinct_count
+    mp = m - mbar
+    sign = -1 if (mp * (m - d)) % 2 else 1
+    s_a, s_b = d - mp, mp
+    if not (0 <= s_a <= mbar and 0 <= s_b <= bbar.size):
+        return
+    bases = _base_table(a, b, s_a, s_b)
+    for a_idx in combinations(range(mbar), s_a):
+        for b_idx in combinations(range(bbar.size), s_b):
+            base = bases.get((a_idx, b_idx))
+            if base is not None:
+                ratio, xpart = base
+                yield SylmTerm(IndexPartition(0, ((), (), ())),
+                               SubsetSelection(abar, a_idx),
+                               SubsetSelection(bbar, b_idx), sign,
+                               xpart.scale(sign * ratio))
+
+
 def ref_sym_interp_eval(e, d, h, xs):
     total = F(0)
     for ep_vals in combinations(e.distinct_values(), d):
@@ -481,3 +557,28 @@ def test_base_table_matches_reference(data):
                     want = ref_base_factor(a, b, SubsetSelection(abar, a_idx),
                                            SubsetSelection(bbar, b_idx))
                     assert table.get((a_idx, b_idx)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sylm_terms_match_reference(data):
+    # repeated roots on both sides, and roots of B drawn from A's
+    a = multiset(data.draw, data.draw(st.integers(1, 6)))
+    b = multiset(data.draw, data.draw(st.integers(1, 6)), a.distinct_values())
+    m, n = a.size, b.size
+    for d in range(min(m, n) + (0 if m == n else 1)):
+        if a.excess_count + b.excess_count <= d:
+            want = ref_terms_collapsed(a, b, d)
+        else:
+            want = ref_terms_general(a, b, d)
+        assert list(sylm_terms(a, b, d)) == list(want)
+    # the two-index formula forced below its range
+    assert (list(sylm_terms(a, b, 0, force_collapsed=True))
+            == list(ref_terms_collapsed(a, b, 0)))
+
+
+def test_sylm_terms_past_table_bound():
+    # d = 1 on this pair asks for 1386 distinct s2 and s3 values, past
+    # SCHUR_CACHE_SIZE, so the per-call tables are emptied and refilled
+    a, b = RM((0, 4), (1, 4)), RM((2, 4), (3, 4))
+    assert list(sylm_terms(a, b, 1)) == list(ref_terms_general(a, b, 1))
