@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .errors import ParseError, SylresError, ValidationError
 from .io import parse_index_set, parse_multiset, parse_poly
 from .poly import Poly
-from .rootsets import RootMultiset
 from .schur import SchurSpec, schur_poly_x, schur_value
 from .sylvester import sres_det, syl_double, syl_single, sylm, sylm_terms
 from .verify import SUITE_NAMES, FuzzConfig, replay, run_suite
@@ -31,8 +31,22 @@ def _poly_or_roots(text: str) -> Poly:
     return parse_poly(s)
 
 
+def _emit(render: Callable[[], str]) -> None:
+    """Print render(). The interpreter's int-to-str digit limit guards the
+    parsing of input literals; exact results may pass it, so it is lifted
+    while they are rendered."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(render())
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _emit_poly(p: Poly, as_json: bool) -> None:
-    print(json.dumps(p.to_json()) if as_json else str(p))
+    _emit(lambda: json.dumps(p.to_json()) if as_json else str(p))
 
 
 def _fuzz_config(args) -> FuzzConfig:
@@ -111,29 +125,34 @@ def _cmd_sylm(args) -> int:
         total = Poly.zero()
         for t in terms:
             total = total + t.value
-        if args.json:
-            print(json.dumps({
-                "value": total.to_json(),
-                "terms": [{
-                    "partition": [list(blk) for blk in t.partition.blocks],
-                    "a_prime": [str(v) for v in t.a_prime.values()],
-                    "b_prime": [str(v) for v in t.b_prime.values()],
-                    "sign": t.sign,
-                    "value": t.value.to_json(),
-                } for t in terms]}))
-        else:
-            for t in terms:
-                blocks = "|".join(",".join(map(str, blk))
-                                  for blk in t.partition.blocks)
-                aps = ",".join(map(str, t.a_prime.values()))
-                bps = ",".join(map(str, t.b_prime.values()))
-                print(f"R=({blocks}) A'=({aps}) B'=({bps}) "
-                      f"sign={t.sign:+d} value={t.value}")
-            print(f"total: {total}")
+        _emit(lambda: _render_trace(terms, total, args.json))
         return 0
     _emit_poly(sylm(a, b, args.d, force_collapsed=args.force_bigd),
                args.json)
     return 0
+
+
+def _render_trace(terms, total: Poly, as_json: bool) -> str:
+    if as_json:
+        return json.dumps({
+            "value": total.to_json(),
+            "terms": [{
+                "partition": [list(blk) for blk in t.partition.blocks],
+                "a_prime": [str(v) for v in t.a_prime.values()],
+                "b_prime": [str(v) for v in t.b_prime.values()],
+                "sign": t.sign,
+                "value": t.value.to_json(),
+            } for t in terms]})
+    lines = []
+    for t in terms:
+        blocks = "|".join(",".join(map(str, blk))
+                          for blk in t.partition.blocks)
+        aps = ",".join(map(str, t.a_prime.values()))
+        bps = ",".join(map(str, t.b_prime.values()))
+        lines.append(f"R=({blocks}) A'=({aps}) B'=({bps}) "
+                     f"sign={t.sign:+d} value={t.value}")
+    lines.append(f"total: {total}")
+    return "\n".join(lines)
 
 
 def _cmd_schur(args) -> int:
@@ -144,7 +163,7 @@ def _cmd_schur(args) -> int:
         _emit_poly(schur_poly_x(spec), args.json)
     else:
         value = schur_value(spec)
-        print(json.dumps({"value": str(value)})
+        _emit(lambda: json.dumps({"value": str(value)})
               if args.json else str(value))
     return 0
 
@@ -172,7 +191,7 @@ def _cmd_verify(args) -> int:
         record = _load_replay(args.replay)
         suite = record.get("suite", args.suite)
         result = replay(suite, record["instance"])
-        print(json.dumps(result, sort_keys=True) if args.json
+        _emit(lambda: json.dumps(result, sort_keys=True) if args.json
               else f"replay {suite}: {'PASS' if result.get('ok') else 'FAIL'}"
                    f" {json.dumps(result, sort_keys=True)}")
         return 0 if result.get("ok") else 1
@@ -183,11 +202,8 @@ def _cmd_verify(args) -> int:
 
 def _run_suites(names, cfg: FuzzConfig, as_json: bool) -> int:
     reports = [run_suite(name, cfg) for name in names]
-    if as_json:
-        print(json.dumps([r.to_json() for r in reports], sort_keys=True))
-    else:
-        for r in reports:
-            print(r.human())
+    _emit(lambda: json.dumps([r.to_json() for r in reports], sort_keys=True)
+          if as_json else "\n".join(r.human() for r in reports))
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -217,9 +233,6 @@ def main(argv=None) -> int:
             return _run_suites(sorted(SUITE_NAMES), _fuzz_config(args),
                                args.json)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SylresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

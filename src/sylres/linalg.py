@@ -9,8 +9,9 @@ by the least common multiple of its denominators, and so does `det_p`.
 spreads it into one column per coefficient. Eliminating the n-1 constant
 columns then leaves in the last row the determinants with the polynomial
 column replaced by each coefficient column, which are the coefficients of
-the determinant. Row indices are 1-based to match the index-set conventions
-used by the Schur and Sylvester modules.
+the determinant. Matrices are plain sequences of rows. Row indices are
+1-based to match the index-set conventions used by the Schur and Sylvester
+modules.
 """
 
 from __future__ import annotations
@@ -22,39 +23,8 @@ from typing import List, Sequence, Tuple
 from .errors import (IndexOutOfRange, MultiplePolyColumns, NotSquare,
                      NotSquareAfterRemoval, TooManyColumns)
 from .poly import Poly
-from .rationals import Q0, Q1, qof
+from .rationals import Q0, Q1
 from .rootsets import RootMultiset
-
-
-class MatrixQ:
-    __slots__ = ("entries",)
-
-    def __init__(self, rows: Sequence[Sequence]):
-        data = tuple(tuple(qof(c) for c in row) for row in rows)
-        widths = {len(row) for row in data}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixQ is immutable")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixQ) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"MatrixQ({self.entries!r})"
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]
@@ -104,26 +74,32 @@ def _bareiss(a: List[List[int]], steps: int) -> Tuple[List[int], int]:
     return a[-1], sign
 
 
-def det_z(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix, given as its rows."""
+def _check_square(rows: Sequence[Sequence]) -> int:
+    """The side of a square matrix given as its rows; NotSquare if any
+    row's width differs from the row count."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise NotSquare(f"{n} rows of widths "
                         f"{sorted({len(row) for row in rows})}")
+    return n
+
+
+def det_z(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix, given as its rows."""
+    n = _check_square(rows)
     if n == 0:
         return 1
     last, sign = _bareiss([list(row) for row in rows], n - 1)
     return sign * last[-1]
 
 
-def det_q(m: MatrixQ) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols} matrix is not square")
-    n = m.rows
+def det_q(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant of a square matrix of rationals (or integers),
+    given as its rows."""
+    n = _check_square(rows)
     if n == 0:
         return Q1
-    a, scale = _integer_rows(m.entries)
+    a, scale = _integer_rows(rows)
     last, sign = _bareiss(a, n - 1)
     return Fraction(sign * last[-1], scale)
 
@@ -131,10 +107,7 @@ def det_q(m: MatrixQ) -> Fraction:
 def det_p(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials, given as its rows, of
     which at most one column is nonconstant."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise NotSquare(f"{n} rows of widths "
-                        f"{sorted({len(row) for row in rows})}")
+    n = _check_square(rows)
     if n == 0:
         return Poly.one()
     poly_cols = [j for j in range(n)
@@ -154,54 +127,36 @@ def det_p(rows: Sequence[Sequence[Poly]]) -> Poly:
     return Poly(Fraction(sign * c, scale) for c in last[n - 1:])
 
 
-def _confluent_columns(k: int, value: Fraction, mult: int):
-    """Columns of the k-row block for one point: successive derivatives."""
-    cols = []
-    for c in range(1, mult + 1):
-        col = []
-        for t in range(1, k + 1):
-            e = k - t
-            if e - (c - 1) >= 0:
-                col.append(math.perm(e, c - 1) * value ** (e - c + 1))
-            else:
-                col.append(Q0)
-        cols.append(col)
-    return cols
-
-
-def vandermonde_confluent(k: int, x: RootMultiset) -> MatrixQ:
-    """k x |X| confluent Vandermonde; row 1 carries exponent k-1."""
-    r = x.size
-    if k < r:
-        raise TooManyColumns(f"k={k} rows but {r} columns requested")
-    cols: list[list[Fraction]] = []
-    for value, mult in x.entries:
-        cols.extend(_confluent_columns(k, value, mult))
-    return MatrixQ([[cols[j][t] for j in range(r)] for t in range(k)])
+def vandermonde_confluent(k: int, x: RootMultiset) -> List[List[Fraction]]:
+    """Rows of the k x |X| confluent Vandermonde; row 1 carries exponent
+    k-1. A point of multiplicity mult has mult columns: the column
+    [x^(k-1),..,x,1] and its first mult-1 derivatives, at the point."""
+    if k < x.size:
+        raise TooManyColumns(f"k={k} rows but {x.size} columns requested")
+    return [[math.perm(e, c) * value ** (e - c) if e >= c else Q0
+             for value, mult in x.entries for c in range(mult)]
+            for e in range(k - 1, -1, -1)]
 
 
 def vandermonde_confluent_with_x(k: int, x: RootMultiset) -> List[List[Poly]]:
     """Rows of the confluent columns for X plus one symbolic column
     [x^(k-1),..,x,1]."""
-    r = x.size
-    if k < r + 1:
-        raise TooManyColumns(f"k={k} rows but {r + 1} columns requested")
-    cols: list[list[Poly]] = []
-    for value, mult in x.entries:
-        cols.extend([[Poly.constant(c) for c in col]
-                     for col in _confluent_columns(k, value, mult)])
-    cols.append([Poly.monomial(k - t) for t in range(1, k + 1)])
-    return [[cols[j][t] for j in range(r + 1)] for t in range(k)]
+    if k < x.size + 1:
+        raise TooManyColumns(f"k={k} rows but {x.size + 1} columns requested")
+    return [[Poly.constant(c) for c in row] + [Poly.monomial(k - t)]
+            for t, row in enumerate(vandermonde_confluent(k, x), start=1)]
 
 
-def remove_rows(m: MatrixQ, removed: Sequence[int]) -> MatrixQ:
+def remove_rows(rows: Sequence[Sequence],
+                removed: Sequence[int]) -> List[Sequence]:
     """Square submatrix after dropping the 1-based rows in `removed`."""
     drop = set(removed)
     for i in drop:
-        if not 1 <= i <= m.rows:
-            raise IndexOutOfRange(f"row {i} outside 1..{m.rows}")
-    kept = [row for i, row in enumerate(m.entries, start=1) if i not in drop]
-    if len(kept) != m.cols:
+        if not 1 <= i <= len(rows):
+            raise IndexOutOfRange(f"row {i} outside 1..{len(rows)}")
+    kept = [row for i, row in enumerate(rows, start=1) if i not in drop]
+    cols = len(rows[0]) if rows else 0
+    if len(kept) != cols:
         raise NotSquareAfterRemoval(
-            f"{len(kept)} rows remain for {m.cols} columns")
-    return MatrixQ(kept)
+            f"{len(kept)} rows remain for {cols} columns")
+    return kept

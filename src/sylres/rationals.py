@@ -8,6 +8,7 @@ could be substituted in one place.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, List, Sequence
@@ -29,10 +30,31 @@ def qof(value) -> Fraction:
     raise ValidationError(f"not a rational value: {value!r}")
 
 
+# The interpreter's int-to-str digit limit; 0 (none) before Python 3.10.7.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p". Rejects zero denominators with a clear message."""
+    """Parse "p/q", "p" or a decimal such as "-1.5e3".
+
+    Rejects zero denominators, and literals whose numerator or denominator
+    would have more digits than `sys.get_int_max_str_digits()` before
+    reduction, with a clear message. The digits are counted on the text,
+    exponent included, before the value is built.
+    """
     s = text.strip()
+    limit = _max_str_digits()
     try:
+        # without an exponent a literal has no more digits than characters
+        if limit and ("e" in s or "E" in s or len(s) > limit):
+            mantissa, _, exp = s.replace("E", "e").partition("e")
+            num, _, den = mantissa.partition("/")
+            whole, _, frac = num.lstrip("+-").partition(".")
+            e = int(exp or 0)
+            if max(len(whole) + max(len(frac), e), len(den),
+                   1 + len(frac) - e) > limit:
+                raise ValidationError(
+                    f"rational {s[:40]!r} has more than {limit} digits")
         return Fraction(s)
     except ZeroDivisionError:
         raise ValidationError(f"zero denominator in rational {text!r}")

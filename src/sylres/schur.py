@@ -20,8 +20,8 @@ coefficient.
 
 `schur_value` and `schur_poly_x` are cached entries to this kernel for one
 `SchurSpec`. `sylm` calls the kernel functions themselves (`elementary`,
-`removal_partition`, `schur_scaled`, `schur_scaled_x`) and keeps its own
-tables for the length of one call.
+`removal_partition`, `schur_scaled`, `schur_scaled_x`) once per factor
+at the loop level that fixes its removed rows.
 
 The determinant ratio itself is `schur_vandermonde_ratio`, the reference of
 `schur_consistency_check`. With the symbolic point it is an exact polynomial
@@ -37,15 +37,14 @@ from itertools import product
 from typing import List, Sequence, Tuple, Union
 
 from .errors import EmptyPoints, InconsistentRemovalCount
-from .linalg import (MatrixQ, det_p, det_q, det_z, remove_rows,
+from .linalg import (det_p, det_q, det_z, remove_rows,
                      vandermonde_confluent, vandermonde_confluent_with_x)
 from .poly import Poly, linear_product
 from .rationals import Q1, common_denominator, scaled
 from .rootsets import RootMultiset
 
-# Entries kept by each cache below, and by each of `sylm`'s per-call Schur
-# tables. Unbounded, the caches grow with every distinct spec a process
-# sees, and the tables with every partition of a call.
+# Entries kept by each of the two caches below. Unbounded, they would grow
+# with every distinct spec a process sees.
 SCHUR_CACHE_SIZE = 1024
 
 
@@ -161,9 +160,8 @@ def schur_vandermonde_ratio(spec: SchurSpec) -> Union[Fraction, Poly]:
     """
     r = spec.points.size
     if spec.with_x:
-        rows = vandermonde_confluent_with_x(spec.k, spec.points)
-        num = det_p([row for i, row in enumerate(rows, start=1)
-                     if i not in spec.removed])
+        num = det_p(remove_rows(
+            vandermonde_confluent_with_x(spec.k, spec.points), spec.removed))
         den = det_p(vandermonde_confluent_with_x(r + 1, spec.points))
         return num.exact_div(den)
     if r == 0:
@@ -189,8 +187,8 @@ def schur_classical_ratio(k: int, removed: Sequence[int],
         raise ValueError("points must be pairwise distinct")
     drop = set(removed)
     kept_exponents = [k - i for i in range(1, k + 1) if i not in drop]
-    num = MatrixQ([[x ** e for x in xs] for e in kept_exponents])
-    den = MatrixQ([[x ** (r - i) for x in xs] for i in range(1, r + 1)])
+    num = [[x ** e for x in xs] for e in kept_exponents]
+    den = [[x ** (r - i) for x in xs] for i in range(1, r + 1)]
     return det_q(num) / det_q(den)
 
 

@@ -14,11 +14,12 @@ result makes one Fraction per output coefficient. The multiset sum `sylm`
 takes its difference-product ratios and x-parts from `_base_table`, built on
 the same kernel once per subset sizes and call. Its confluent Schur factors
 run on the integer Jacobi–Trudi kernel of `schur`, over the same scaled
-values, and are kept in `_SchurTables` for one call, keyed by the removed
-rows and the index tuples of the subsets; no `RootMultiset` or `SchurSpec`
-is built per term. The literal forms of these sums, which build a
-`RootMultiset` per block and multiply `rprod` values or ask the cached Schur
-entries, survive only as test references.
+values. Each factor is computed once, at the loop level of `_terms_general`
+that fixes its removed rows, for every subset that level's terms use, and
+lives no longer than that level; no `RootMultiset` or `SchurSpec` is built
+per term. The literal forms of these sums, which build a `RootMultiset` per
+block and multiply `rprod` values or ask the cached Schur entries, survive
+only as test references.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .linalg import det_p
 from .poly import Poly, linear_product
 from .rationals import common_denominator, qof, scaled
 from .rootsets import RootMultiset, SubsetSelection
-from .schur import (SCHUR_CACHE_SIZE, elementary, removal_partition,
-                    schur_scaled, schur_scaled_x)
+from .schur import (elementary, removal_partition, schur_scaled,
+                    schur_scaled_x)
 
 
 def check_degree_window(m: int, n: int, d: int) -> None:
@@ -302,14 +303,6 @@ def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
     return table
 
 
-def _selections(parent: RootMultiset,
-                size: int) -> dict[Tuple[int, ...], SubsetSelection]:
-    """A SubsetSelection per index tuple of the given size, in
-    lexicographic order."""
-    return {idx: SubsetSelection(parent, idx)
-            for idx in combinations(range(parent.distinct_count), size)}
-
-
 def _terms_collapsed(a: RootMultiset, b: RootMultiset,
                      d: int) -> Iterator[SylmTerm]:
     """Two-index sum for d >= m'+n' (all partition blocks empty)."""
@@ -323,110 +316,40 @@ def _terms_collapsed(a: RootMultiset, b: RootMultiset,
     empty = IndexPartition(0, ((), (), ()))
     if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
         return
-    bases = _base_table(a, b, s_a, s_b)
-    b_primes = _selections(bbar, s_b)
-    for a_idx, a_prime in _selections(abar, s_a).items():
-        for b_idx, b_prime in b_primes.items():
-            base = bases.get((a_idx, b_idx))
-            if base is None:
-                continue
-            ratio, xpart = base
-            yield SylmTerm(empty, a_prime, b_prime, sign,
-                           xpart.scale(sign * ratio))
-
-
-class _SchurTables:
-    """The Schur factors of `sylm`'s terms, kept for one call.
-
-    A term's factors are s1 on A' + B' with the symbolic point, s2 on
-    (Ā - A') + B and s3 on A + (B̄ - B'), with the rows R1 (shifted), R2
-    and R3 removed. Each is filled on a miss by the integer Jacobi–Trudi
-    kernel of `schur`, on the values scaled by the common denominator D of
-    Ā and B̄, from an e-vector of its points built once per index tuple.
-
-    A table that reaches SCHUR_CACHE_SIZE entries is emptied before it
-    takes the next, so a call's memory does not grow with its term count.
-    Few keys recur beyond the partition that made them.
-    """
-
-    def __init__(self, a: RootMultiset, b: RootMultiset, d: int):
-        avals, bvals = a.distinct_values(), b.distinct_values()
-        self.den = den = common_denominator(avals, bvals)
-        self.wa, self.wb = scaled(avals, den), scaled(bvals, den)
-        self.a_all = scaled(a.values(), den)  # with multiplicity
-        self.b_all = scaled(b.values(), den)
-        self.k1 = d + 1
-        self.k = a.size + b.size - d
-        self.e1: dict = {}  # e-vector of A' + B' per (A' idx, B' idx)
-        self.e2: dict = {}  # of (Ā - A') + B per A' idx
-        self.e3: dict = {}  # of A + (B̄ - B') per B' idx
-        self.s1: dict = {}  # s1 per (R1 shifted, A' idx, B' idx)
-        self.s2: dict = {}  # s2 per (R2, A' idx)
-        self.s3: dict = {}  # s3 per (R3, B' idx)
-
-    @staticmethod
-    def _store(table: dict, key, value):
-        if len(table) >= SCHUR_CACHE_SIZE:
-            table.clear()
-        table[key] = value
-        return value
-
-    def factor1(self, removed: tuple, a_idx: tuple, b_idx: tuple) -> Poly:
-        value = self.s1.get((removed, a_idx, b_idx))
-        if value is None:
-            e = self.e1.get((a_idx, b_idx))
-            if e is None:
-                e = self.e1[a_idx, b_idx] = elementary(
-                    [self.wa[i] for i in a_idx] + [self.wb[j] for j in b_idx])
-            # the points and x fill len(e) rows
-            lam = removal_partition(self.k1, removed, len(e))
-            value = self._store(self.s1, (removed, a_idx, b_idx),
-                                schur_scaled_x(lam, e, self.den))
-        return value
-
-    def factor2(self, removed: tuple, a_idx: tuple) -> Fraction:
-        value = self.s2.get((removed, a_idx))
-        if value is None:
-            e = self.e2.get(a_idx)
-            if e is None:
-                e = self.e2[a_idx] = elementary(
-                    [w for i, w in enumerate(self.wa) if i not in a_idx]
-                    + self.b_all)
-            lam = removal_partition(self.k, removed, len(e) - 1)
-            value = self._store(self.s2, (removed, a_idx),
-                                schur_scaled(lam, e, self.den))
-        return value
-
-    def factor3(self, removed: tuple, b_idx: tuple) -> Fraction:
-        value = self.s3.get((removed, b_idx))
-        if value is None:
-            e = self.e3.get(b_idx)
-            if e is None:
-                e = self.e3[b_idx] = elementary(
-                    self.a_all
-                    + [w for j, w in enumerate(self.wb) if j not in b_idx])
-            lam = removal_partition(self.k, removed, len(e) - 1)
-            value = self._store(self.s3, (removed, b_idx),
-                                schur_scaled(lam, e, self.den))
-        return value
+    # sorted index tuples: A'-outer lexicographic order
+    for (a_idx, b_idx), (ratio, xpart) in sorted(
+            _base_table(a, b, s_a, s_b).items()):
+        yield SylmTerm(empty, SubsetSelection(abar, a_idx),
+                       SubsetSelection(bbar, b_idx), sign,
+                       xpart.scale(sign * ratio))
 
 
 def _terms_general(a: RootMultiset, b: RootMultiset,
                    d: int) -> Iterator[SylmTerm]:
-    """Triple-partition sum with confluent Schur factors, for d < m'+n'."""
+    """Triple-partition sum with confluent Schur factors, for d < m'+n'.
+
+    A term's factors are s1 on A' + B' with the symbolic point, s2 on
+    (Ā - A') + B and s3 on A + (B̄ - B'), with the rows R1 (shifted), R2
+    and R3 removed. The subset sizes fix the pairs (A', B') and the
+    e-vectors of each factor's points, scaled by the common denominator D
+    of Ā and B̄; the R1 block fixes s1, times the x-part, per pair; the R2
+    block fixes s2 per A' and s3 per B'. Each runs once on the integer
+    Jacobi–Trudi kernel of `schur`, and the innermost loop only multiplies.
+    """
     abar, _ = a.split()
     bbar, _ = b.split()
     m, n = a.size, b.size
     mbar, nbar = a.distinct_count, b.distinct_count
     mp, np_ = m - mbar, n - nbar
     r = mp + np_ - d
+    k = m + n - d
     lo = m + n - 2 * d  # lowest index admitted into R1
     window = tuple(i for i in range(max(lo, 1), r + 1))
     r1_cap = max(0, d - (mbar + nbar) + 1)
-    tables = _SchurTables(a, b, d)
-    bases: dict = {}  # one base table per (s_a, s_b)
-    a_subsets: dict = {}  # the selections of each size
-    b_subsets: dict = {}
+    avals, bvals = a.distinct_values(), b.distinct_values()
+    den = common_denominator(avals, bvals)
+    wa, wb = scaled(avals, den), scaled(bvals, den)
+    a_all, b_all = scaled(a.values(), den), scaled(b.values(), den)
     for r1 in range(0, min(len(window), r1_cap) + 1):
         for r2 in range(max(0, mp - d), min(m - d, r - r1) + 1):
             r3 = r - r1 - r2
@@ -442,31 +365,40 @@ def _terms_general(a: RootMultiset, b: RootMultiset,
                 raise InconsistentRemovalCount(
                     f"removed row counts ({r1}, {r2}, {r3}) do not fit "
                     f"subsets of sizes ({s_a}, {s_b})")
-            if (s_a, s_b) not in bases:
-                bases[s_a, s_b] = _base_table(a, b, s_a, s_b)
-            base_of = bases[s_a, s_b]
-            if s_a not in a_subsets:
-                a_subsets[s_a] = _selections(abar, s_a)
-            if s_b not in b_subsets:
-                b_subsets[s_b] = _selections(bbar, s_b)
+            # sorted index tuples: A'-outer lexicographic order
+            pairs = sorted(_base_table(a, b, s_a, s_b).items())
+            e1 = [elementary([wa[i] for i in a_idx] + [wb[j] for j in b_idx])
+                  for (a_idx, b_idx), _ in pairs]
+            e2 = {a_idx: elementary([w for i, w in enumerate(wa)
+                                     if i not in a_idx] + b_all)
+                  for (a_idx, _), _ in pairs}
+            e3 = {b_idx: elementary(a_all + [w for j, w in enumerate(wb)
+                                             if j not in b_idx])
+                  for (_, b_idx), _ in pairs}
+            a_primes = {a_idx: SubsetSelection(abar, a_idx) for a_idx in e2}
+            b_primes = {b_idx: SubsetSelection(bbar, b_idx) for b_idx in e3}
             for r1_block in combinations(window, r1):
                 rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
-                r1_shift = tuple(i - (m + n - 2 * d - 1) for i in r1_block)
+                r1_shift = tuple(i - (lo - 1) for i in r1_block)
+                # the points and x fill s_a + s_b + 1 rows
+                lam1 = removal_partition(d + 1, r1_shift, s_a + s_b + 1)
+                x1 = [xpart * schur_scaled_x(lam1, e, den)
+                      for (_, (_, xpart)), e in zip(pairs, e1)]
                 for r2_block in combinations(rest, r2):
                     r3_block = tuple(i for i in rest if i not in r2_block)
                     part = IndexPartition(r, (r1_block, r2_block, r3_block))
                     sign = sigma_sign(m, n, mbar, nbar, d, part)
-                    for a_idx, a_prime in a_subsets[s_a].items():
-                        for b_idx, b_prime in b_subsets[s_b].items():
-                            base = base_of.get((a_idx, b_idx))
-                            if base is None:
-                                continue
-                            ratio, xpart = base
-                            s1 = tables.factor1(r1_shift, a_idx, b_idx)
-                            s2 = tables.factor2(r2_block, a_idx)
-                            s3 = tables.factor3(r3_block, b_idx)
-                            value = (xpart * s1).scale(sign * ratio * s2 * s3)
-                            yield SylmTerm(part, a_prime, b_prime, sign, value)
+                    lam2 = removal_partition(k, r2_block, mbar - s_a + n)
+                    lam3 = removal_partition(k, r3_block, m + nbar - s_b)
+                    s2 = {a_idx: schur_scaled(lam2, e, den)
+                          for a_idx, e in e2.items()}
+                    s3 = {b_idx: schur_scaled(lam3, e, den)
+                          for b_idx, e in e3.items()}
+                    for ((a_idx, b_idx), (ratio, _)), poly in zip(pairs, x1):
+                        value = poly.scale(
+                            sign * ratio * s2[a_idx] * s3[b_idx])
+                        yield SylmTerm(part, a_primes[a_idx],
+                                       b_primes[b_idx], sign, value)
 
 
 def sylm_terms(a: RootMultiset, b: RootMultiset, d: int,

@@ -22,7 +22,7 @@ from .io import parse_multiset
 from .poly import Poly
 from .rationals import qof
 from .rootsets import RootMultiset, rprod
-from .schur import SchurSpec, schur_consistency_check, schur_value
+from .schur import schur_consistency_check
 from .sylvester import (apery_jouanolou_rhs, exchange_rhs_eval,
                         single_sum_eval, sres_det, syl_double, syl_single,
                         sylm, sylm_terms, sym_interp_eval)
@@ -37,8 +37,9 @@ class FuzzConfig:
 
     A negative count, or a degree or bound below 1, is refused here with
     ValidationError. `_sample_distinct` refuses more distinct values than
-    the bound admits, and `lemma24` a max degree below 3. No check draws
-    a number, so a config that can be met draws the same instances
+    the bound admits, `lemma24` a max degree below 3, and `run_suite` a
+    thm14 run of 8 or more instances with a max degree below 2. No check
+    draws a number, so a config that can be met draws the same instances
     whether or not the checks run.
     """
 
@@ -611,6 +612,13 @@ def run_suite(name: str, cfg: FuzzConfig) -> SuiteReport:
         raise UnknownSuite(f"unknown suite {name!r}; "
                            f"known: {', '.join(SUITE_NAMES)}")
     gen, check = _SUITES[name]
+    # thm14 asks 8 or more instances to cover both regimes, and the
+    # general one needs a repeated root, so a degree of at least 2
+    regime_check = name == "thm14" and cfg.count >= 8
+    if regime_check and cfg.max_deg < 2:
+        raise ValidationError(
+            f"thm14 needs max degree >= 2 to reach its general regime, "
+            f"got {cfg.max_deg}")
     report = SuiteReport(suite=name)
     start = time.perf_counter()
     regimes: set = set()
@@ -622,7 +630,7 @@ def run_suite(name: str, cfg: FuzzConfig) -> SuiteReport:
             entry = {"seq": seq, "suite": name, "instance": inst}
             entry.update({k: v for k, v in result.items() if k != "ok"})
             report.failures.append(entry)
-    if name == "thm14" and report.instances >= 8:
+    if regime_check:
         missing = {"collapsed", "general"} - regimes
         if missing:
             report.failures.append({

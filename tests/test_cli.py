@@ -48,6 +48,32 @@ class TestSres:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("root", ["1e1000000", "1e-4300", "9" * 4301])
+    def test_literal_past_digit_limit(self, capsys, root):
+        # refused from its text, before a number of that size is built
+        rc, out, err = run(capsys, "sres", "-f", f"roots:{root}",
+                           "-g", "roots:2", "-d", "0")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_result_past_digit_limit(self, capsys):
+        # (2 - x)^2 of a 3000-digit root has 6000 digits, past the
+        # interpreter's int-to-str limit, and still prints exactly
+        root = "7" * 3000
+        limit = sys.get_int_max_str_digits()
+        rc, out, _ = run(capsys, "sres", "-f", f"roots:{root},{root}",
+                         "-g", "roots:2", "-d", "0")
+        assert rc == 0
+        assert sys.get_int_max_str_digits() == limit
+        assert len(out) == 6001 and out.endswith("\n")
+        assert int(out[-31:]) == (int(root) - 2) ** 2 % 10 ** 30
+        # the largest exponent within the limit is accepted
+        rc, out, _ = run(capsys, "sres", "-f", "roots:1e4299",
+                         "-g", "roots:2", "-d", "0")
+        assert rc == 0
+        assert out == "9" * 4298 + "8\n"
+
 
 class TestSums:
     def test_syl_single(self, capsys):
@@ -238,6 +264,8 @@ class TestUnmeetableFuzzConfig:
         ["verify", "eq1", "--coeff-bound", "0"],
         ["verify", "eq1", "--count", "-1"],
         ["fuzz", "--count", "1", "--max-deg", "1"],
+        # 8 or more thm14 instances must reach a repeated root
+        ["verify", "thm14", "--max-deg", "1", "--count", "8"],
     ])
     def test_exits_2(self, argv):
         env = {**os.environ,

@@ -578,7 +578,8 @@ def test_sylm_terms_match_reference(data):
 
 
 def test_sylm_terms_past_table_bound():
-    # d = 1 on this pair asks for 1386 distinct s2 and s3 values, past
-    # SCHUR_CACHE_SIZE, so the per-call tables are emptied and refilled
+    # d = 1 on this pair gives 1,848 terms over 924 partitions, and asks
+    # for 1,386 distinct s2 and s3 values: a long run of R2 blocks per
+    # size triple, each with its own factors
     a, b = RM((0, 4), (1, 4)), RM((2, 4), (3, 4))
     assert list(sylm_terms(a, b, 1)) == list(ref_terms_general(a, b, 1))
