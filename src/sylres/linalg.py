@@ -2,14 +2,17 @@
 
 Every determinant runs through one kernel, `_bareiss`: integer
 fraction-free elimination with row pivoting (Bareiss, Math. Comp. 22,
-1968). `det_z` eliminates a square integer matrix as it is. `det_q`
-eliminates a square rational matrix after each row is scaled to integers
-by the least common multiple of its denominators, and so does `det_p`.
-`det_p` admits one column of polynomials: it moves that column last and
-spreads it into one column per coefficient. Eliminating the n-1 constant
-columns then leaves in the last row the determinants with the polynomial
-column replaced by each coefficient column, which are the coefficients of
-the determinant. Matrices are plain sequences of rows. Row indices are
+1968). Its general entry is `det_z_bordered`: for n integer rows of width
+w >= n, it eliminates the first n-1 columns once and returns the w-n+1
+determinants of those columns bordered by each later column. `det_z` is
+the square case of one border. `det_q` eliminates a square rational matrix
+after each row is scaled to integers by the least common multiple of its
+denominators, and so does `det_p`. `det_p` admits one column of
+polynomials: it moves that column last and spreads it into one column per
+coefficient, so the bordered determinants are the coefficients of the
+determinant. Its only library caller is the reference ratio of
+`schur-consistency`; `sres_det` builds its integer rows itself and calls
+`det_z_bordered`. Matrices are plain sequences of rows. Row indices are
 1-based to match the index-set conventions used by the Schur and Sylvester
 modules.
 """
@@ -68,8 +71,13 @@ def _bareiss(a: List[List[int]], steps: int) -> Tuple[List[int], int]:
         for i in range(k + 1, len(a)):
             row = a[i]
             aik = row[k]
-            row[k + 1:] = [(x * pivot - aik * y) // prev
-                           for x, y in zip(row[k + 1:], tail)]
+            if aik:
+                row[k + 1:] = [(x * pivot - aik * y) // prev
+                               for x, y in zip(row[k + 1:], tail)]
+            else:
+                # banded rows: the cross term vanishes, and the
+                # division stays exact
+                row[k + 1:] = [x * pivot // prev for x in row[k + 1:]]
         prev = pivot
     return a[-1], sign
 
@@ -82,6 +90,18 @@ def _check_square(rows: Sequence[Sequence]) -> int:
         raise NotSquare(f"{n} rows of widths "
                         f"{sorted({len(row) for row in rows})}")
     return n
+
+
+def det_z_bordered(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Determinants of the first n-1 columns of n >= 1 integer rows of
+    common width w >= n, bordered by each of the columns n-1..w-1 in turn:
+    w-n+1 values, in column order. The rows are not modified."""
+    n = len(rows)
+    widths = sorted({len(row) for row in rows})
+    if n == 0 or len(widths) > 1 or widths[0] < n:
+        raise NotSquare(f"{n} rows of widths {widths}")
+    last, sign = _bareiss([list(row) for row in rows], n - 1)
+    return [sign * v for v in last[n - 1:]]
 
 
 def det_z(rows: Sequence[Sequence[int]]) -> int:
@@ -116,15 +136,14 @@ def det_p(rows: Sequence[Sequence[Poly]]) -> Poly:
         raise MultiplePolyColumns(
             f"nonconstant entries in columns {[j + 1 for j in poly_cols]}")
     col = poly_cols[0] if poly_cols else n - 1
-    width = max(len(row[col].coeffs) for row in rows)
+    width = max(1, *(len(row[col].coeffs) for row in rows))
     spread = [[c.constant_value() for j, c in enumerate(row) if j != col]
               + [row[col].coeff(k) for k in range(width)] for row in rows]
     a, scale = _integer_rows(spread)
-    last, sign = _bareiss(a, n - 1)
     # Moving column col last takes n-1-col adjacent swaps.
     if (n - 1 - col) % 2:
-        sign = -sign
-    return Poly(Fraction(sign * c, scale) for c in last[n - 1:])
+        scale = -scale
+    return Poly(Fraction(c, scale) for c in det_z_bordered(a))
 
 
 def vandermonde_confluent(k: int, x: RootMultiset) -> List[List[Fraction]]:

@@ -57,9 +57,9 @@ def parse_rational(text: str) -> Fraction:
                     f"rational {s[:40]!r} has more than {limit} digits")
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValidationError(f"zero denominator in rational {text!r}")
+        raise ValidationError(f"zero denominator in rational {text[:40]!r}")
     except ValueError:
-        raise ValidationError(f"malformed rational {text!r}")
+        raise ValidationError(f"malformed rational {text[:40]!r}")
 
 
 def common_denominator(*groups: Iterable[Fraction]) -> int:

@@ -34,7 +34,7 @@ from .combinatorics import IndexPartition, enum_splits, sigma_sign
 from .errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                      InconsistentRemovalCount, MultiplicityNotOne,
                      TooFewElements)
-from .linalg import det_p
+from .linalg import det_z_bordered
 from .poly import Poly, linear_product
 from .rationals import common_denominator, qof, scaled
 from .rootsets import RootMultiset, SubsetSelection
@@ -70,22 +70,30 @@ def sres_det(f: Poly, g: Poly, d: int) -> Poly:
     m-d rows of shifted g coefficients, with the last column holding the
     polynomials x^(n-d-i) f and x^(m-d-i) g. Out-of-range coefficient
     subscripts are zero. Inputs need not be monic.
+
+    Only d+1 coefficient columns are built for the last one. The other
+    columns hold the coefficients of x^(m+n-d-1) down to x^(d+1) of the
+    same polynomials, so the last column's coefficient of x^k, k > d,
+    repeats one of them and its minor is 0. Each row is the coefficients of
+    its polynomial at those exponents and then at x^0..x^d, as integers
+    times the common denominator of f (or g). One elimination of the first
+    m+n-2d-1 columns then borders them by each of the last d+1, which gives
+    the d+1 coefficients times den_f^(n-d) den_g^(m-d).
     """
     m, n = f.degree, g.degree
     if m is None or n is None:
         raise DegreeWindow("zero polynomial has no subresultants")
     check_degree_window(m, n, d)
-    size = m + n - 2 * d
-    rows: list[list[Poly]] = []
-    for i in range(1, n - d + 1):
-        row = [Poly.constant(f.coeff(m - (j - i))) for j in range(1, size)]
-        row.append(f.shift(n - d - i))
-        rows.append(row)
-    for i in range(1, m - d + 1):
-        row = [Poly.constant(g.coeff(n - (j - i))) for j in range(1, size)]
-        row.append(g.shift(m - d - i))
-        rows.append(row)
-    return det_p(rows)
+    exponents = [*range(m + n - d - 1, d, -1), *range(d + 1)]
+    rows, scale = [], 1
+    for p, shifts in ((f, n - d), (g, m - d)):
+        den = common_denominator(p.coeffs)
+        coeffs = scaled(p.coeffs, den)
+        scale *= den ** shifts
+        for s in range(shifts - 1, -1, -1):
+            rows.append([coeffs[e - s] if 0 <= e - s < len(coeffs) else 0
+                         for e in exponents])
+    return Poly(Fraction(v, scale) for v in det_z_bordered(rows))
 
 
 # -- split-sum kernel ------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from sylres.cli import build_parser, main
 from sylres.errors import ValidationError
+from sylres.rationals import parse_rational
 from sylres.verify import (_SUITES, SUITE_NAMES, FuzzConfig, _pool_size,
                            _sample_distinct, replay, validate_instance)
 
@@ -56,6 +57,17 @@ class TestSres:
         assert rc == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("root", ["1e" + "9" * 5000, "1/" + "0" * 4000])
+    def test_long_bad_literal_gives_short_message(self, capsys, root):
+        with pytest.raises(ValidationError) as info:
+            parse_rational(root)
+        assert len(str(info.value)) < 100
+        rc, out, err = run(capsys, "sres", "-f", f"roots:{root}",
+                           "-g", "roots:2", "-d", "0")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err) < 200
 
     def test_result_past_digit_limit(self, capsys):
         # (2 - x)^2 of a 3000-digit root has 6000 digits, past the

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from sylres.errors import (IndexOutOfRange, MultiplePolyColumns, NotSquare,
                            NotSquareAfterRemoval, TooManyColumns)
-from sylres.linalg import (det_p, det_q, det_z, remove_rows,
-                           vandermonde_confluent,
+from sylres.linalg import (det_p, det_q, det_z, det_z_bordered,
+                           remove_rows, vandermonde_confluent,
                            vandermonde_confluent_with_x)
 from sylres.poly import Poly
 from sylres.rootsets import RootMultiset
@@ -70,6 +70,28 @@ class TestDetZ:
     def test_not_square(self):
         with pytest.raises(NotSquare):
             det_z([[1, 2]])
+
+
+class TestDetZBordered:
+    def test_square_is_det_z(self):
+        assert det_z_bordered([[1, 2], [3, 4]]) == [-2]
+
+    def test_needs_pivoting(self):
+        # columns {0, 1} and {0, 2} of rows whose first pivot is 0
+        assert det_z_bordered([[0, 1, 5], [1, 0, 7]]) == [-1, -5]
+
+    def test_no_pivot(self):
+        assert det_z_bordered([[0, 1, 2], [0, 3, 4]]) == [0, 0]
+
+    def test_rows_untouched(self):
+        rows = [[0, 1, 5], [1, 0, 7]]
+        det_z_bordered(rows)
+        assert rows == [[0, 1, 5], [1, 0, 7]]
+
+    @pytest.mark.parametrize("rows", [[], [[1, 2], [3]], [[1], [2]]])
+    def test_bad_shape(self, rows):
+        with pytest.raises(NotSquare):
+            det_z_bordered(rows)
 
 
 class TestDetP:
@@ -307,3 +329,31 @@ def test_det_z_matches_det_q(rows):
         den = lcm(*(v.denominator for v in row))
         ints.append([int(v * den) for v in row])
     assert det_z(ints) == det_q(ints) == ref_det_q(ints)
+
+
+@st.composite
+def bordered_rows(draw, max_n=6, max_border=4):
+    """n integer rows of width n-1 plus up to max_border. Half need a row
+    swap at the first pivot, and half have one of the first n-1 columns
+    zero, so that it has no pivot."""
+    n = draw(st.integers(1, max_n))
+    width = n - 1 + draw(st.integers(1, max_border))
+    ints = st.one_of(st.just(0), st.integers(-30, 30))
+    rows = [draw(st.lists(ints, min_size=width, max_size=width))
+            for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        rows[0][0] = 0
+    if n >= 2 and draw(st.booleans()):
+        j = draw(st.integers(0, n - 2))
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(bordered_rows())
+def test_det_z_bordered_matches_reference(rows):
+    n = len(rows)
+    want = [ref_det_q([row[:n - 1] + [row[j]] for row in rows])
+            for j in range(n - 1, len(rows[0]))]
+    assert det_z_bordered(rows) == want

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sylres.combinatorics import IndexPartition, binom, sigma_sign
@@ -16,6 +16,7 @@ from sylres.sylvester import (SylmTerm, _base_table, apery_jouanolou_rhs,
                               single_sum_eval, sres_det, syl_double,
                               syl_single, sylm, sylm_terms, sym_interp_eval)
 from sylres.verify import _symmetric_pool
+from test_linalg import ref_det_p
 
 
 def RM(*pairs):
@@ -283,6 +284,23 @@ class TestSymInterp:
             sym_interp_eval(sets(1, 2, 3), 1, lambda xs: F(1), (F(0),))
 
 
+# -- reference determinant ---------------------------------------------------
+
+
+def ref_sres_det(f, g, d):
+    """The matrix sres_det built before its rows became integers: one Poly
+    per entry, the polynomials x^s f and x^s g in the last column, taken
+    by cofactor expansion."""
+    m, n = f.degree, g.degree
+    size = m + n - 2 * d
+    rows = []
+    for p, deg, shifts in ((f, m, n - d), (g, n, m - d)):
+        for i in range(1, shifts + 1):
+            rows.append([Poly.constant(p.coeff(deg - (j - i)))
+                         for j in range(1, size)] + [p.shift(shifts - i)])
+    return ref_det_p(rows)
+
+
 # -- reference sums ---------------------------------------------------------
 # The literal rprod loops that the split sums ran before they moved onto the
 # integer difference-table kernel. They check no arguments.
@@ -486,6 +504,32 @@ def set_and_multiset(draw, max_set=5, max_multi=4):
     multi = multiset(draw, draw(st.integers(0, max_multi)), shared)
     xs = tuple(distinct(draw, draw(st.integers(0, 2)), shared))
     return s, multi, xs
+
+
+# Sparse coefficients: zero about half the time, constant terms included.
+sparse_coeffs = st.one_of(st.just(F(0)), rationals)
+leading = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@st.composite
+def poly_pair(draw, max_deg=6):
+    """(f, g) of degrees 1..max_deg each, not monic in general."""
+    def poly():
+        deg = draw(st.integers(1, max_deg))
+        low = draw(st.lists(sparse_coeffs, min_size=deg, max_size=deg))
+        return Poly(low + [draw(leading)])
+    return poly(), poly()
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pair())
+@example((Poly([0, 0, 3]), Poly([1, 0, 0, 0, F(-1, 2)])))  # d = 2: no g rows
+@example((Poly([F(1, 3), 0, 0, 2]), Poly([0, 5])))  # d = 1: no f rows
+def test_sres_det_matches_reference(pair):
+    f, g = pair
+    m, n = f.degree, g.degree
+    for d in range(min(m, n) + (m != n)):
+        assert sres_det(f, g, d) == ref_sres_det(f, g, d)
 
 
 @settings(max_examples=40, deadline=None)
