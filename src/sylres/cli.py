@@ -138,8 +138,8 @@ def _render_trace(terms, total: Poly, as_json: bool) -> str:
             "value": total.to_json(),
             "terms": [{
                 "partition": [list(blk) for blk in t.partition.blocks],
-                "a_prime": [str(v) for v in t.a_prime.values()],
-                "b_prime": [str(v) for v in t.b_prime.values()],
+                "a_prime": [str(v) for v in t.a_prime],
+                "b_prime": [str(v) for v in t.b_prime],
                 "sign": t.sign,
                 "value": t.value.to_json(),
             } for t in terms]})
@@ -147,8 +147,8 @@ def _render_trace(terms, total: Poly, as_json: bool) -> str:
     for t in terms:
         blocks = "|".join(",".join(map(str, blk))
                           for blk in t.partition.blocks)
-        aps = ",".join(map(str, t.a_prime.values()))
-        bps = ",".join(map(str, t.b_prime.values()))
+        aps = ",".join(map(str, t.a_prime))
+        bps = ",".join(map(str, t.b_prime))
         lines.append(f"R=({blocks}) A'=({aps}) B'=({bps}) "
                      f"sign={t.sign:+d} value={t.value}")
     lines.append(f"total: {total}")

@@ -51,15 +51,6 @@ def sg_set(r: int, subset: Sequence[int]) -> int:
     return -1 if total % 2 else 1
 
 
-def sg_set_by_transpositions(r: int, subset: Sequence[int]) -> int:
-    """Same sign, computed by literally sorting with adjacent swaps."""
-    s = set(subset)
-    if s and (min(s) < 1 or max(s) > r):
-        raise IndexOutOfRange(f"subset {sorted(s)} not contained in 1..{r}")
-    seq = sorted(s) + [i for i in range(1, r + 1) if i not in s]
-    return _inversion_sign(seq)
-
-
 def _inversion_sign(seq: Sequence[int]) -> int:
     inv = 0
     for i in range(len(seq)):

@@ -136,12 +136,6 @@ class Poly:
             return Poly.zero()
         return Poly(tuple(c * a for a in self.coeffs))
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly((Q0,) * k + self.coeffs)
-
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Quotient self / divisor; raises NotDivisible on nonzero remainder."""
         if divisor.is_zero():

@@ -8,7 +8,6 @@ either side is empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
@@ -133,35 +132,6 @@ class RootMultiset:
 
     def to_shorthand(self) -> str:
         return ",".join(f"{v!s}:{m}" for v, m in self.entries)
-
-
-@dataclass(frozen=True)
-class SubsetSelection:
-    """A sorted choice of indices into the distinct values of a multiset."""
-
-    parent: RootMultiset
-    chosen: Tuple[int, ...]  # 0-based indices, strictly increasing
-
-    def __post_init__(self):
-        n = self.parent.distinct_count
-        for a, b in zip(self.chosen, self.chosen[1:]):
-            if a >= b:
-                raise ValidationError("subset indices must strictly increase")
-        if self.chosen and not (0 <= self.chosen[0] and self.chosen[-1] < n):
-            raise ValidationError("subset index out of bounds")
-
-    def values(self) -> Tuple[Fraction, ...]:
-        dv = self.parent.distinct_values()
-        return tuple(dv[i] for i in self.chosen)
-
-    def as_multiset(self) -> RootMultiset:
-        return RootMultiset.from_values(self.values())
-
-    def complement(self) -> "SubsetSelection":
-        chosen = set(self.chosen)
-        rest = tuple(i for i in range(self.parent.distinct_count)
-                     if i not in chosen)
-        return SubsetSelection(self.parent, rest)
 
 
 def rprod(x: RootMultiset, y: RootMultiset) -> Fraction:

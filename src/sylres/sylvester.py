@@ -37,7 +37,7 @@ from .errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
 from .linalg import det_z_bordered
 from .poly import Poly, linear_product
 from .rationals import common_denominator, qof, scaled
-from .rootsets import RootMultiset, SubsetSelection
+from .rootsets import RootMultiset
 from .schur import (elementary, removal_partition, schur_scaled,
                     schur_scaled_x)
 
@@ -260,11 +260,15 @@ def syl_double(a: RootMultiset, b: RootMultiset, p: int, q: int) -> Poly:
 
 @dataclass(frozen=True)
 class SylmTerm:
-    """One audited term of the multiset sum."""
+    """One audited term of the multiset sum.
+
+    `a_prime` and `b_prime` are the distinct values of A' and B',
+    ascending.
+    """
 
     partition: IndexPartition
-    a_prime: SubsetSelection
-    b_prime: SubsetSelection
+    a_prime: Tuple[Fraction, ...]
+    b_prime: Tuple[Fraction, ...]
     sign: int
     value: Poly
 
@@ -314,8 +318,6 @@ def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
 def _terms_collapsed(a: RootMultiset, b: RootMultiset,
                      d: int) -> Iterator[SylmTerm]:
     """Two-index sum for d >= m'+n' (all partition blocks empty)."""
-    abar, _ = a.split()
-    bbar, _ = b.split()
     m, mbar = a.size, a.distinct_count
     mp = m - mbar
     nbar = b.distinct_count
@@ -324,11 +326,12 @@ def _terms_collapsed(a: RootMultiset, b: RootMultiset,
     empty = IndexPartition(0, ((), (), ()))
     if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
         return
+    avals, bvals = a.distinct_values(), b.distinct_values()
     # sorted index tuples: A'-outer lexicographic order
     for (a_idx, b_idx), (ratio, xpart) in sorted(
             _base_table(a, b, s_a, s_b).items()):
-        yield SylmTerm(empty, SubsetSelection(abar, a_idx),
-                       SubsetSelection(bbar, b_idx), sign,
+        yield SylmTerm(empty, tuple(avals[i] for i in a_idx),
+                       tuple(bvals[j] for j in b_idx), sign,
                        xpart.scale(sign * ratio))
 
 
@@ -344,8 +347,6 @@ def _terms_general(a: RootMultiset, b: RootMultiset,
     block fixes s2 per A' and s3 per B'. Each runs once on the integer
     Jacobi–Trudi kernel of `schur`, and the innermost loop only multiplies.
     """
-    abar, _ = a.split()
-    bbar, _ = b.split()
     m, n = a.size, b.size
     mbar, nbar = a.distinct_count, b.distinct_count
     mp, np_ = m - mbar, n - nbar
@@ -383,8 +384,8 @@ def _terms_general(a: RootMultiset, b: RootMultiset,
             e3 = {b_idx: elementary(a_all + [w for j, w in enumerate(wb)
                                              if j not in b_idx])
                   for (_, b_idx), _ in pairs}
-            a_primes = {a_idx: SubsetSelection(abar, a_idx) for a_idx in e2}
-            b_primes = {b_idx: SubsetSelection(bbar, b_idx) for b_idx in e3}
+            a_primes = {a_idx: tuple(avals[i] for i in a_idx) for a_idx in e2}
+            b_primes = {b_idx: tuple(bvals[j] for j in b_idx) for b_idx in e3}
             for r1_block in combinations(window, r1):
                 rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
                 r1_shift = tuple(i - (lo - 1) for i in r1_block)

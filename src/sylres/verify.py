@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from .combinatorics import binom, check_sign_lemma, enum_partitions3
-from .errors import UnknownSuite, ValidationError
+from .errors import NotDivisible, UnknownSuite, ValidationError
 from .io import parse_multiset
 from .poly import Poly
 from .rationals import qof
@@ -73,13 +73,7 @@ class SuiteReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "instances": self.instances,
-            "failures": self.failures,
-            "wall_time": self.wall_time,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def human(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -279,6 +273,10 @@ def _check_thm12(inst: dict) -> dict:
     a = parse_multiset(inst["a"])
     b = parse_multiset(inst["b"])
     d = inst["d"]
+    excess = a.excess_count + b.excess_count
+    if d < excess:
+        raise ValidationError(
+            f"thm12 needs d >= m'+n' = {excess}, got d={d}")
     terms = list(sylm_terms(a, b, d))
     nonempty = [t for t in terms if any(t.partition.blocks)]
     if nonempty:
@@ -300,39 +298,23 @@ def _gen_sets(cfg: FuzzConfig):
         yield {"a": a.to_shorthand(), "b": b.to_shorthand()}
 
 
-def _check_eq1(inst: dict) -> dict:
+def _check_double(inst: dict, by_sres: bool) -> dict:
+    """Each double sum with p + q = d against C(d, p) times, up to sign,
+    Sres_d (eq1, sign exponent p) or the single sum (eq2, exponent q)."""
     a = parse_multiset(inst["a"])
     b = parse_multiset(inst["b"])
     m, n = a.size, b.size
-    f = Poly.from_roots(a.values())
-    g = Poly.from_roots(b.values())
+    if by_sres:
+        f = Poly.from_roots(a.values())
+        g = Poly.from_roots(b.values())
     for d in _valid_ds(m, n):
-        sres = sres_det(f, g, d)
+        ref = sres_det(f, g, d) if by_sres else syl_single(a, b, d)
         for p in range(0, min(d, m) + 1):
             q = d - p
             if q > n:
                 continue
-            sign = -1 if (p * (m - d)) % 2 else 1
-            expect = sres.scale(sign * binom(d, p))
-            got = syl_double(a, b, p, q)
-            if got != expect:
-                return {"ok": False, "d": d, "p": p, "q": q,
-                        "double": got.to_json(), "expected": expect.to_json()}
-    return {"ok": True}
-
-
-def _check_eq2(inst: dict) -> dict:
-    a = parse_multiset(inst["a"])
-    b = parse_multiset(inst["b"])
-    m, n = a.size, b.size
-    for d in _valid_ds(m, n):
-        single = syl_single(a, b, d)
-        for p in range(0, min(d, m) + 1):
-            q = d - p
-            if q > n:
-                continue
-            sign = -1 if (q * (m - d)) % 2 else 1
-            expect = single.scale(sign * binom(d, p))
+            sign = -1 if ((p if by_sres else q) * (m - d)) % 2 else 1
+            expect = ref.scale(sign * binom(d, p))
             got = syl_double(a, b, p, q)
             if got != expect:
                 return {"ok": False, "d": d, "p": p, "q": q,
@@ -390,15 +372,14 @@ def _check_lemma24(inst: dict) -> dict:
     d, nx = inst["d"], inst["nx"]
     avoid = a.distinct_values() + b.distinct_values()
     if inst["part"] == 1:
-        ok = grid_check_identity(
-            lambda *xs: single_sum_eval(a, b, d, xs),
-            lambda *xs: exchange_rhs_eval(a, b, d, xs),
-            nx, d, avoid)
+        rhs = lambda *xs: exchange_rhs_eval(a, b, d, xs)
+    elif inst["part"] == 2:
+        rhs = lambda *xs: Fraction(0)
     else:
-        ok = grid_check_identity(
-            lambda *xs: single_sum_eval(a, b, d, xs),
-            lambda *xs: Fraction(0),
-            nx, d, avoid)
+        raise ValidationError(
+            f"lemma24 part must be 1 or 2, got {inst['part']}")
+    ok = grid_check_identity(lambda *xs: single_sum_eval(a, b, d, xs),
+                             rhs, nx, d, avoid)
     return {"ok": ok}
 
 
@@ -475,14 +456,20 @@ def _check_prop23(inst: dict) -> dict:
     return {"ok": True}
 
 
+# lemma34 enumerates all 3^r partitions with r + 1 shifts each
+_LEMMA34_MAX_R = 6
+
+
 def _gen_lemma34(cfg: FuzzConfig):
-    rmax = min(cfg.max_deg, 6)
-    for r in range(1, rmax + 1):
+    for r in range(1, min(cfg.max_deg, _LEMMA34_MAX_R) + 1):
         yield {"r": r}
 
 
 def _check_lemma34(inst: dict) -> dict:
     r = inst["r"]
+    if not 1 <= r <= _LEMMA34_MAX_R:
+        raise ValidationError(
+            f"lemma34 needs r in 1..{_LEMMA34_MAX_R}, got {r}")
     checked = 0
     for part in enum_partitions3(r):
         b1 = part.blocks[0]
@@ -557,12 +544,9 @@ def _check_examples(inst: dict) -> dict:
     # negative case: the collapsed formula forced below its range is a
     # multiple of (x - b1) and differs from the true subresultant
     forced = sylm(a, b_big, 2, force_collapsed=True)
-    quotient_exists = True
     try:
         forced.exact_div(Poly.from_roots([b1]))
-    except Exception:
-        quotient_exists = False
-    if not quotient_exists:
+    except NotDivisible:
         return {"ok": False, "case": "forced value not divisible by (x-b1)"}
     if forced.scale(_sres_sign(2, 3)) == g_big - f:
         return {"ok": False, "case": "forced value unexpectedly correct"}
@@ -572,8 +556,8 @@ def _check_examples(inst: dict) -> dict:
 _SUITES = {
     "thm14": (_gen_thm14, _check_thm14),
     "thm12": (_gen_thm12, _check_thm12),
-    "eq1": (_gen_sets, _check_eq1),
-    "eq2": (_gen_sets, _check_eq2),
+    "eq1": (_gen_sets, lambda inst: _check_double(inst, by_sres=True)),
+    "eq2": (_gen_sets, lambda inst: _check_double(inst, by_sres=False)),
     "eq3": (_gen_sets, _check_eq3),
     "lemma24": (_gen_lemma24, _check_lemma24),
     "prop21": (_gen_prop21, _check_prop21),

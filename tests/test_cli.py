@@ -10,6 +10,7 @@ import pytest
 
 from sylres.cli import build_parser, main
 from sylres.errors import ValidationError
+from sylres.poly import Poly
 from sylres.rationals import parse_rational
 from sylres.verify import (_SUITES, SUITE_NAMES, FuzzConfig, _pool_size,
                            _sample_distinct, replay, validate_instance)
@@ -21,6 +22,17 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_subprocess(*argv):
+    """The CLI in a subprocess with a timeout, so a call that hangs fails
+    the test."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "sylres.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=env)
 
 
 class TestSres:
@@ -236,6 +248,11 @@ class TestVerify:
         ' "e": "5,6,7,8,9", "d": -1, "nx": 1}}',
         '{"suite": "lemma24", "instance": {"a": "1,2", "b": "3,4", "d": 1,'
         ' "nx": -1, "part": 1}}',
+        # lemma24 has parts 1 and 2 only
+        '{"suite": "lemma24", "instance": {"a": "1,2", "b": "3,4", "d": 1,'
+        ' "nx": 1, "part": 7}}',
+        # d below m'+n' = 2 is outside thm12's collapsed regime
+        '{"suite": "thm12", "instance": {"a": "1:2", "b": "2:2", "d": 0}}',
     ])
     def test_replay_bad_record(self, capsys, tmp_path, content):
         path = tmp_path / "inst.json"
@@ -250,6 +267,26 @@ class TestVerify:
         gen, _ = _SUITES[name]
         for inst in gen(FuzzConfig(seed=3, count=4)):
             assert validate_instance(name, inst) == inst
+
+    @pytest.mark.parametrize("r", [16, 7, 0])
+    def test_replay_lemma34_past_cap(self, tmp_path, r):
+        # r = 16 would enumerate 3^16 partitions; it is refused up front
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"suite": "lemma34",
+                                    "instance": {"r": r}}))
+        out = run_subprocess("verify", "lemma34", "--replay", str(path))
+        assert out.returncode == 2, out
+        assert out.stdout == ""
+        assert out.stderr.startswith("error:")
+
+    def test_examples_lets_other_errors_through(self, monkeypatch):
+        # only NotDivisible reads as "not divisible"; a fault in exact_div
+        # itself propagates
+        def broken(self, divisor):
+            raise ZeroDivisionError("fault inside exact_div")
+        monkeypatch.setattr(Poly, "exact_div", broken)
+        with pytest.raises(ZeroDivisionError):
+            replay("examples", {"alpha1": "0", "alpha2": "1", "beta1": "2"})
 
     def test_replay_fills_optional_field(self):
         # schur-consistency records may omit with_x, which defaults to False
@@ -280,12 +317,7 @@ class TestUnmeetableFuzzConfig:
         ["verify", "thm14", "--max-deg", "1", "--count", "8"],
     ])
     def test_exits_2(self, argv):
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-m", "sylres.cli", *argv],
-                             capture_output=True, text=True, timeout=60,
-                             env=env)
+        out = run_subprocess(*argv)
         assert out.returncode == 2, out
         assert out.stdout == ""
         assert out.stderr.startswith("error:")

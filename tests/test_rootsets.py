@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sylres.errors import ValidationError
 from sylres.poly import Poly
-from sylres.rootsets import RootMultiset, SubsetSelection, rprod
+from sylres.rootsets import RootMultiset, rprod
 
 
 def RM(*pairs):
@@ -80,18 +80,6 @@ class TestCounts:
 
     def test_merge_on_construction(self):
         assert RootMultiset([(2, 1), (2, 1)]) == RM((2, 2))
-
-
-class TestSubsetSelection:
-    def test_values_and_complement(self):
-        a = RM((1, 1), (2, 1), (5, 1))
-        sel = SubsetSelection(a, (0, 2))
-        assert sel.values() == (F(1), F(5))
-        assert sel.complement().values() == (F(2),)
-
-    def test_bad_indices(self):
-        with pytest.raises(ValidationError):
-            SubsetSelection(RM((1, 1)), (0, 0))
 
 
 small_multisets = st.lists(

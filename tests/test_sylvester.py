@@ -9,7 +9,7 @@ from sylres.combinatorics import IndexPartition, binom, sigma_sign
 from sylres.errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                            MultiplicityNotOne, TooFewElements)
 from sylres.poly import Poly
-from sylres.rootsets import RootMultiset, SubsetSelection, rprod, rprod_vals
+from sylres.rootsets import RootMultiset, rprod, rprod_vals
 from sylres.schur import SchurSpec, schur_poly_x, schur_value
 from sylres.sylvester import (SylmTerm, _base_table, apery_jouanolou_rhs,
                               exchange_rhs_eval,
@@ -297,7 +297,8 @@ def ref_sres_det(f, g, d):
     for p, deg, shifts in ((f, m, n - d), (g, n, m - d)):
         for i in range(1, shifts + 1):
             rows.append([Poly.constant(p.coeff(deg - (j - i)))
-                         for j in range(1, size)] + [p.shift(shifts - i)])
+                         for j in range(1, size)]
+                        + [Poly.monomial(shifts - i) * p])
     return ref_det_p(rows)
 
 
@@ -377,18 +378,18 @@ def ref_apery_jouanolou_rhs(a, b, d, e, xs):
     return total
 
 
-def ref_base_factor(a, b, a_prime, b_prime):
+def ref_base_factor(a, b, ap_vals, bp_vals):
     abar, a_excess = a.split()
     bbar, _ = b.split()
-    ap = a_prime.as_multiset()
-    bp = b_prime.as_multiset()
-    abar_rest = a_prime.complement().as_multiset()
-    bbar_rest = b_prime.complement().as_multiset()
+    ap = RootMultiset.from_values(ap_vals)
+    bp = RootMultiset.from_values(bp_vals)
+    abar_rest = abar.difference(ap)
+    bbar_rest = bbar.difference(bp)
     num = rprod(a_excess, bbar_rest) * rprod(abar_rest, b.difference(bp))
     if num == 0:
         return None
     den = rprod(ap, abar_rest) * rprod(bp, bbar_rest)
-    xpart = Poly.from_roots(ap.values()) * Poly.from_roots(bp.values())
+    xpart = Poly.from_roots(ap_vals) * Poly.from_roots(bp_vals)
     return num / den, xpart
 
 
@@ -398,6 +399,7 @@ def ref_terms_general(a, b, d):
     the points and asks the cached schur_value and schur_poly_x."""
     abar, _ = a.split()
     bbar, _ = b.split()
+    avals, bvals = a.distinct_values(), b.distinct_values()
     m, n = a.size, b.size
     mbar, nbar = a.distinct_count, b.distinct_count
     mp, np_ = m - mbar, n - nbar
@@ -424,46 +426,46 @@ def ref_terms_general(a, b, d):
                     r1_shift = tuple(i - (m + n - 2 * d - 1)
                                      for i in r1_block)
                     for a_idx in combinations(range(mbar), s_a):
-                        a_prime = SubsetSelection(abar, a_idx)
+                        ap_vals = tuple(avals[i] for i in a_idx)
+                        ap = RootMultiset.from_values(ap_vals)
                         for b_idx in combinations(range(nbar), s_b):
-                            b_prime = SubsetSelection(bbar, b_idx)
+                            bp_vals = tuple(bvals[j] for j in b_idx)
+                            bp = RootMultiset.from_values(bp_vals)
                             base = base_of.get((a_idx, b_idx))
                             if base is None:
                                 continue
                             ratio, xpart = base
-                            ap = a_prime.as_multiset()
-                            bp = b_prime.as_multiset()
                             s1 = schur_poly_x(SchurSpec(
                                 d + 1, r1_shift, ap.union(bp), with_x=True))
                             s2 = schur_value(SchurSpec(
                                 m + n - d, r2_block,
-                                a_prime.complement().as_multiset().union(b)))
+                                abar.difference(ap).union(b)))
                             s3 = schur_value(SchurSpec(
                                 m + n - d, r3_block,
-                                a.union(b_prime.complement().as_multiset())))
+                                a.union(bbar.difference(bp))))
                             value = (xpart * s1).scale(sign * ratio * s2 * s3)
-                            yield SylmTerm(part, a_prime, b_prime, sign, value)
+                            yield SylmTerm(part, ap_vals, bp_vals, sign,
+                                           value)
 
 
 def ref_terms_collapsed(a, b, d):
-    """The two-index loop, one SubsetSelection per visit of an index."""
-    abar, _ = a.split()
-    bbar, _ = b.split()
+    """The two-index loop, one lookup in the base table per index pair."""
+    avals, bvals = a.distinct_values(), b.distinct_values()
     m, mbar = a.size, a.distinct_count
     mp = m - mbar
     sign = -1 if (mp * (m - d)) % 2 else 1
     s_a, s_b = d - mp, mp
-    if not (0 <= s_a <= mbar and 0 <= s_b <= bbar.size):
+    if not (0 <= s_a <= mbar and 0 <= s_b <= len(bvals)):
         return
     bases = _base_table(a, b, s_a, s_b)
     for a_idx in combinations(range(mbar), s_a):
-        for b_idx in combinations(range(bbar.size), s_b):
+        for b_idx in combinations(range(len(bvals)), s_b):
             base = bases.get((a_idx, b_idx))
             if base is not None:
                 ratio, xpart = base
                 yield SylmTerm(IndexPartition(0, ((), (), ())),
-                               SubsetSelection(abar, a_idx),
-                               SubsetSelection(bbar, b_idx), sign,
+                               tuple(avals[i] for i in a_idx),
+                               tuple(bvals[j] for j in b_idx), sign,
                                xpart.scale(sign * ratio))
 
 
@@ -592,14 +594,15 @@ def test_base_table_matches_reference(data):
     # repeated roots on both sides, and roots of B drawn from A's
     a = multiset(data.draw, data.draw(st.integers(1, 5)))
     b = multiset(data.draw, data.draw(st.integers(1, 5)), a.distinct_values())
-    abar, bbar = a.split()[0], b.split()[0]
-    for s_a in range(abar.size + 1):
-        for s_b in range(bbar.size + 1):
+    avals, bvals = a.distinct_values(), b.distinct_values()
+    for s_a in range(len(avals) + 1):
+        for s_b in range(len(bvals) + 1):
             table = _base_table(a, b, s_a, s_b)
-            for a_idx in combinations(range(abar.size), s_a):
-                for b_idx in combinations(range(bbar.size), s_b):
-                    want = ref_base_factor(a, b, SubsetSelection(abar, a_idx),
-                                           SubsetSelection(bbar, b_idx))
+            for a_idx in combinations(range(len(avals)), s_a):
+                for b_idx in combinations(range(len(bvals)), s_b):
+                    want = ref_base_factor(a, b,
+                                           tuple(avals[i] for i in a_idx),
+                                           tuple(bvals[j] for j in b_idx))
                     assert table.get((a_idx, b_idx)) == want
 
 
