@@ -380,10 +380,10 @@ def _terms_general(a: RootMultiset, b: RootMultiset,
                   for (a_idx, b_idx), _ in pairs]
             e2 = {a_idx: elementary([w for i, w in enumerate(wa)
                                      if i not in a_idx] + b_all)
-                  for (a_idx, _), _ in pairs}
+                  for a_idx in dict.fromkeys(a for (a, _), _ in pairs)}
             e3 = {b_idx: elementary(a_all + [w for j, w in enumerate(wb)
                                              if j not in b_idx])
-                  for (_, b_idx), _ in pairs}
+                  for b_idx in dict.fromkeys(b for (_, b), _ in pairs)}
             a_primes = {a_idx: tuple(avals[i] for i in a_idx) for a_idx in e2}
             b_primes = {b_idx: tuple(bvals[j] for j in b_idx) for b_idx in e3}
             for r1_block in combinations(window, r1):

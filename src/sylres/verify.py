@@ -1,10 +1,12 @@
 """Seeded identity-verification suites and the grid-based identity checker.
 
-Each suite pairs a deterministic instance generator with a single-instance
-checker. Failures carry the full instance encoding so one instance can be
-replayed in isolation. Both sides of every multivariate identity are
-polynomial of per-variable degree <= d, so agreement on a per-variable grid
-of d+1 distinct points proves the identity.
+Each suite is one `_SUITES` entry: a deterministic instance generator, a
+single-instance checker and the kind of each instance field, by which
+`decode_instance` decodes and bounds every instance, generated or replayed.
+Failures carry the instance as generated, so that it can be replayed alone.
+Both sides of every multivariate identity are polynomial of per-variable
+degree <= d, so agreement on a per-variable grid of d+1 distinct points
+proves the identity.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from .combinatorics import binom, check_sign_lemma, enum_partitions3
@@ -235,23 +238,28 @@ def _gen_thm14(cfg: FuzzConfig):
         yield {"a": a.to_shorthand(), "b": b.to_shorthand()}
 
 
-def _check_thm14(inst: dict) -> dict:
-    a = parse_multiset(inst["a"])
-    b = parse_multiset(inst["b"])
-    m, n = a.size, b.size
-    f = Poly.from_roots(a.values())
-    g = Poly.from_roots(b.values())
-    regimes = set()
-    for d in _valid_ds(m, n):
-        regimes.add("collapsed" if a.excess_count + b.excess_count <= d
-                    else "general")
+def _check_sres(inst: dict, by_sylm: bool) -> dict:
+    """Sres_d against (-1)^(d(m-d)) times sylm (thm14, which also names
+    the regimes the checked ds reached) or the single sum (eq3), at every
+    admissible d."""
+    a, b = inst["a"], inst["b"]
+    m = a.size
+    f, g = Poly.from_roots(a.values()), Poly.from_roots(b.values())
+    side, key = ((sylm, "sylm_signed") if by_sylm
+                 else (syl_single, "single_signed"))
+    out, seen = {"ok": True}, set()
+    for d in _valid_ds(m, b.size):
+        seen.add("collapsed" if a.excess_count + b.excess_count <= d
+                 else "general")
         lhs = sres_det(f, g, d)
-        rhs = sylm(a, b, d).scale(_sres_sign(d, m))
+        rhs = side(a, b, d).scale(_sres_sign(d, m))
         if lhs != rhs:
-            return {"ok": False, "d": d,
-                    "sres": lhs.to_json(), "sylm_signed": rhs.to_json(),
-                    "regimes": sorted(regimes)}
-    return {"ok": True, "regimes": sorted(regimes)}
+            out = {"ok": False, "d": d, "sres": lhs.to_json(),
+                   key: rhs.to_json()}
+            break
+    if by_sylm:
+        out["regimes"] = sorted(seen)
+    return out
 
 
 def _gen_thm12(cfg: FuzzConfig):
@@ -270,9 +278,7 @@ def _gen_thm12(cfg: FuzzConfig):
 
 
 def _check_thm12(inst: dict) -> dict:
-    a = parse_multiset(inst["a"])
-    b = parse_multiset(inst["b"])
-    d = inst["d"]
+    a, b, d = inst["a"], inst["b"], inst["d"]
     excess = a.excess_count + b.excess_count
     if d < excess:
         raise ValidationError(
@@ -301,8 +307,7 @@ def _gen_sets(cfg: FuzzConfig):
 def _check_double(inst: dict, by_sres: bool) -> dict:
     """Each double sum with p + q = d against C(d, p) times, up to sign,
     Sres_d (eq1, sign exponent p) or the single sum (eq2, exponent q)."""
-    a = parse_multiset(inst["a"])
-    b = parse_multiset(inst["b"])
+    a, b = inst["a"], inst["b"]
     m, n = a.size, b.size
     if by_sres:
         f = Poly.from_roots(a.values())
@@ -319,21 +324,6 @@ def _check_double(inst: dict, by_sres: bool) -> dict:
             if got != expect:
                 return {"ok": False, "d": d, "p": p, "q": q,
                         "double": got.to_json(), "expected": expect.to_json()}
-    return {"ok": True}
-
-
-def _check_eq3(inst: dict) -> dict:
-    a = parse_multiset(inst["a"])
-    b = parse_multiset(inst["b"])
-    m, n = a.size, b.size
-    f = Poly.from_roots(a.values())
-    g = Poly.from_roots(b.values())
-    for d in _valid_ds(m, n):
-        lhs = sres_det(f, g, d)
-        rhs = syl_single(a, b, d).scale(_sres_sign(d, m))
-        if lhs != rhs:
-            return {"ok": False, "d": d, "sres": lhs.to_json(),
-                    "single_signed": rhs.to_json()}
     return {"ok": True}
 
 
@@ -367,26 +357,30 @@ def _gen_lemma24(cfg: FuzzConfig):
 
 
 def _check_lemma24(inst: dict) -> dict:
-    a = parse_multiset(inst["a"])
-    b = parse_multiset(inst["b"])
-    d, nx = inst["d"], inst["nx"]
-    avoid = a.distinct_values() + b.distinct_values()
-    if inst["part"] == 1:
-        rhs = lambda *xs: exchange_rhs_eval(a, b, d, xs)
-    elif inst["part"] == 2:
-        rhs = lambda *xs: Fraction(0)
-    else:
+    a, b, d, nx = inst["a"], inst["b"], inst["d"], inst["nx"]
+    m, n = a.size, b.size
+    # the lemma's hypotheses, which _gen_lemma24 draws
+    if nx > m + n - 2 * d or (inst["part"] == 2 and not n < d <= m):
         raise ValidationError(
-            f"lemma24 part must be 1 or 2, got {inst['part']}")
+            f"lemma24 needs nx <= m+n-2d, and |B| < d <= |A| in part 2; "
+            f"got |A|={m}, |B|={n}, d={d}, nx={nx}")
+    avoid = a.distinct_values() + b.distinct_values()
+    rhs = ((lambda *xs: exchange_rhs_eval(a, b, d, xs)) if inst["part"] == 1
+           else (lambda *xs: Fraction(0)))
     ok = grid_check_identity(lambda *xs: single_sum_eval(a, b, d, xs),
                              rhs, nx, d, avoid)
     return {"ok": ok}
 
 
+# prop21 draws m + n at most this, so d <= m < this, and |E| at most 2
+# past its minimum: its split sum has about 3^|E| terms
+_PROP21_MAX_TOTAL = 8
+
+
 def _gen_prop21(cfg: FuzzConfig):
     rng = random.Random(cfg.seed)
     for i in range(cfg.count):
-        a, b = _rand_set_pair(rng, cfg, max_total=8)
+        a, b = _rand_set_pair(rng, cfg, max_total=_PROP21_MAX_TOTAL)
         m, n = a.size, b.size
         d = rng.randint(0, m)
         nx = rng.randint(1, 2)
@@ -401,12 +395,14 @@ def _gen_prop21(cfg: FuzzConfig):
 
 
 def _check_prop21(inst: dict) -> dict:
-    a = parse_multiset(inst["a"])
-    b = parse_multiset(inst["b"])
-    e = parse_multiset(inst["e"])
-    d, nx = inst["d"], inst["nx"]
-    avoid = (a.distinct_values() + b.distinct_values()
-             + e.distinct_values())
+    a, b, e, d, nx = (inst[k] for k in ("a", "b", "e", "d", "nx"))
+    m, n = a.size, b.size
+    cap = max(nx + d, m + n - d, m) + 2
+    if m + n > _PROP21_MAX_TOTAL or e.size > cap:
+        raise ValidationError(
+            f"prop21 needs |A|+|B| <= {_PROP21_MAX_TOTAL} and |E| <= {cap},"
+            f" got |A|+|B|={m + n}, |E|={e.size}")
+    avoid = a.distinct_values() + b.distinct_values() + e.distinct_values()
     ok = grid_check_identity(
         lambda *xs: single_sum_eval(a, b, d, xs),
         lambda *xs: apery_jouanolou_rhs(a, b, d, e, xs),
@@ -429,10 +425,14 @@ def _symmetric_pool(d: int, nvars: int):
     return pool
 
 
+# prop23 sums over the d-subsets of E, with d < |E| <= this
+_PROP23_MAX_E = 6
+
+
 def _gen_prop23(cfg: FuzzConfig):
     rng = random.Random(cfg.seed)
     for _ in range(cfg.count):
-        esize = rng.randint(2, min(cfg.max_deg + 1, 6))
+        esize = rng.randint(2, min(cfg.max_deg + 1, _PROP23_MAX_E))
         d = rng.randint(0, esize - 1)
         e_vals = _sample_distinct(rng, esize, cfg.coeff_bound)
         e = RootMultiset.from_values(e_vals)
@@ -443,9 +443,10 @@ def _gen_prop23(cfg: FuzzConfig):
 
 
 def _check_prop23(inst: dict) -> dict:
-    e = parse_multiset(inst["e"])
-    d = inst["d"]
-    xs = tuple(qof(v) for v in inst["xs"])
+    e, d, xs = inst["e"], inst["d"], tuple(inst["xs"])
+    if e.size > _PROP23_MAX_E:
+        raise ValidationError(
+            f"prop23 needs |E| <= {_PROP23_MAX_E}, got |E|={e.size}")
     for name, h in _symmetric_pool(d, len(xs)):
         got = sym_interp_eval(e, d, h, xs)
         want = h(xs)
@@ -467,9 +468,6 @@ def _gen_lemma34(cfg: FuzzConfig):
 
 def _check_lemma34(inst: dict) -> dict:
     r = inst["r"]
-    if not 1 <= r <= _LEMMA34_MAX_R:
-        raise ValidationError(
-            f"lemma34 needs r in 1..{_LEMMA34_MAX_R}, got {r}")
     checked = 0
     for part in enum_partitions3(r):
         b1 = part.blocks[0]
@@ -511,9 +509,8 @@ def _gen_schur_consistency(cfg: FuzzConfig):
 
 
 def _check_schur_consistency(inst: dict) -> dict:
-    points = parse_multiset(inst["points"])
-    ok = schur_consistency_check(inst["k"], tuple(inst["removed"]), points,
-                                 with_x=inst["with_x"])
+    ok = schur_consistency_check(inst["k"], tuple(inst["removed"]),
+                                 inst["points"], with_x=inst["with_x"])
     return {"ok": ok}
 
 
@@ -526,7 +523,7 @@ def _gen_examples(cfg: FuzzConfig):
 
 
 def _check_examples(inst: dict) -> dict:
-    a1, a2, b1 = (qof(inst[k]) for k in ("alpha1", "alpha2", "beta1"))
+    a1, a2, b1 = inst["alpha1"], inst["alpha2"], inst["beta1"]
     a = RootMultiset([(a1, 1), (a2, 2)])
     f = Poly.from_roots(a.values())
     # large-d case: g = (x - b1)^2, d = 2 -> SylM equals g exactly
@@ -553,40 +550,32 @@ def _check_examples(inst: dict) -> dict:
     return {"ok": True}
 
 
+# Each suite's generator, checker and the kind of every field its checker
+# reads. A RootMultiset or Fraction field is a string, parsed; an int or
+# bool field is that JSON value; range(lo, hi) is an integer in it; [kind]
+# is a list of items of that kind; (kind, default) may be omitted.
+_PAIR = {"a": RootMultiset, "b": RootMultiset}
 _SUITES = {
-    "thm14": (_gen_thm14, _check_thm14),
-    "thm12": (_gen_thm12, _check_thm12),
-    "eq1": (_gen_sets, lambda inst: _check_double(inst, by_sres=True)),
-    "eq2": (_gen_sets, lambda inst: _check_double(inst, by_sres=False)),
-    "eq3": (_gen_sets, _check_eq3),
-    "lemma24": (_gen_lemma24, _check_lemma24),
-    "prop21": (_gen_prop21, _check_prop21),
-    "prop23": (_gen_prop23, _check_prop23),
-    "lemma34": (_gen_lemma34, _check_lemma34),
-    "schur-consistency": (_gen_schur_consistency, _check_schur_consistency),
-    "examples": (_gen_examples, _check_examples),
+    "thm14": (_gen_thm14, partial(_check_sres, by_sylm=True), _PAIR),
+    "thm12": (_gen_thm12, _check_thm12, {**_PAIR, "d": int}),
+    "eq1": (_gen_sets, partial(_check_double, by_sres=True), _PAIR),
+    "eq2": (_gen_sets, partial(_check_double, by_sres=False), _PAIR),
+    "eq3": (_gen_sets, partial(_check_sres, by_sylm=False), _PAIR),
+    "lemma24": (_gen_lemma24, _check_lemma24, {
+        **_PAIR, "d": int, "nx": range(0, 3), "part": range(1, 3)}),
+    "prop21": (_gen_prop21, _check_prop21, {
+        **_PAIR, "e": RootMultiset, "d": range(0, _PROP21_MAX_TOTAL),
+        "nx": range(0, 3)}),
+    "prop23": (_gen_prop23, _check_prop23, {
+        "e": RootMultiset, "d": range(0, _PROP23_MAX_E), "xs": [Fraction]}),
+    "lemma34": (_gen_lemma34, _check_lemma34,
+                {"r": range(1, _LEMMA34_MAX_R + 1)}),
+    "schur-consistency": (_gen_schur_consistency, _check_schur_consistency, {
+        "k": int, "removed": [int], "points": RootMultiset,
+        "with_x": (bool, False)}),
+    "examples": (_gen_examples, _check_examples,
+                 dict.fromkeys(("alpha1", "alpha2", "beta1"), Fraction)),
 }
-
-# The instance fields each suite's checker reads, with their JSON types; a
-# list [t] holds items of type t. `replay` checks a record against these
-# before the checker sees it.
-_PAIR = {"a": str, "b": str}
-_FIELDS = {
-    "thm14": _PAIR,
-    "thm12": {**_PAIR, "d": int},
-    "eq1": _PAIR,
-    "eq2": _PAIR,
-    "eq3": _PAIR,
-    "lemma24": {**_PAIR, "d": int, "nx": int, "part": int},
-    "prop21": {**_PAIR, "e": str, "d": int, "nx": int},
-    "prop23": {"e": str, "d": int, "xs": [str]},
-    "lemma34": {"r": int},
-    "schur-consistency": {"k": int, "removed": [int], "points": str,
-                          "with_x": bool},
-    "examples": {"alpha1": str, "alpha2": str, "beta1": str},
-}
-# Fields a record may omit, with the value the checker then uses.
-_DEFAULTS = {"schur-consistency": {"with_x": False}}
 
 SUITE_NAMES = tuple(_SUITES)
 
@@ -595,7 +584,7 @@ def run_suite(name: str, cfg: FuzzConfig) -> SuiteReport:
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; "
                            f"known: {', '.join(SUITE_NAMES)}")
-    gen, check = _SUITES[name]
+    gen, check, _ = _SUITES[name]
     # thm14 asks 8 or more instances to cover both regimes, and the
     # general one needs a repeated root, so a degree of at least 2
     regime_check = name == "thm14" and cfg.count >= 8
@@ -608,7 +597,7 @@ def run_suite(name: str, cfg: FuzzConfig) -> SuiteReport:
     regimes: set = set()
     for seq, inst in enumerate(gen(cfg)):
         report.instances += 1
-        result = check(inst)
+        result = check(decode_instance(name, inst))
         regimes.update(result.get("regimes", ()))
         if not result.get("ok", False):
             entry = {"seq": seq, "suite": name, "instance": inst}
@@ -626,41 +615,50 @@ def run_suite(name: str, cfg: FuzzConfig) -> SuiteReport:
     return report
 
 
-def _has_type(value, kind) -> bool:
+def _describe(kind) -> str:
     if isinstance(kind, list):
-        return (isinstance(value, list)
-                and all(_has_type(v, kind[0]) for v in value))
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, kind) and (kind is bool
-                                        or not isinstance(value, bool))
+        return f"a list, each item {_describe(kind[0])}"
+    if isinstance(kind, range):
+        return f"an integer in {kind.start}..{kind.stop - 1}"
+    return {RootMultiset: "a multiset string", Fraction: "a rational string",
+            int: "an integer", bool: "true or false"}[kind]
 
 
-def _type_name(kind) -> str:
-    if isinstance(kind, list):
-        return f"a list, each item {_type_name(kind[0])}"
-    return {str: "a string", int: "an integer", bool: "true or false"}[kind]
+def _decode(kind, value, where: str):
+    if isinstance(kind, list) and isinstance(value, list):
+        return [_decode(kind[0], v, f"{where} item {i}")
+                for i, v in enumerate(value)]
+    if kind in (RootMultiset, Fraction) and isinstance(value, str):
+        # the module global, looked up per call, so that a wrapper
+        # installed on it sees every call
+        return parse_multiset(value) if kind is RootMultiset else qof(value)
+    # JSON true/false load as bool, which an int field refuses
+    if kind in (int, bool) and type(value) is kind:
+        return value
+    if isinstance(kind, range) and type(value) is int and value in kind:
+        return value
+    raise ValidationError(f"{where} must be {_describe(kind)}, "
+                          f"got {value!r}")
 
 
-def validate_instance(name: str, inst: dict) -> dict:
-    """The instance with its defaults filled in, once every field the
-    suite reads is present with its declared type; ValidationError if not.
-    """
+def decode_instance(name: str, inst: dict) -> dict:
+    """The suite's declared fields of `inst`, decoded by their kinds and
+    with defaults filled in; ValidationError if one is missing or bad."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}")
-    full = {**_DEFAULTS.get(name, {}), **inst}
-    for key, kind in _FIELDS[name].items():
-        if key not in full:
-            raise ValidationError(
-                f"{name} instance lacks the field {key!r}")
-        if not _has_type(full[key], kind):
-            raise ValidationError(
-                f"{name} instance field {key!r} must be {_type_name(kind)},"
-                f" got {full[key]!r}")
-    return full
+    out = {}
+    for key, kind in _SUITES[name][2].items():
+        kind, *default = kind if isinstance(kind, tuple) else (kind,)
+        if key in inst:
+            out[key] = _decode(kind, inst[key], f"{name} field {key!r}")
+        elif default:
+            out[key] = default[0]
+        else:
+            raise ValidationError(f"{name} instance lacks the field {key!r}")
+    return out
 
 
 def replay(name: str, inst: dict) -> dict:
     """Re-run a single recorded instance for the given suite."""
-    full = validate_instance(name, inst)
-    _, check = _SUITES[name]
-    return check(full)
+    full = decode_instance(name, inst)
+    return _SUITES[name][1](full)

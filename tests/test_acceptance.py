@@ -4,11 +4,16 @@ Each test runs one verification suite at its contract configuration,
 prints a single pass/fail line (visible with ``pytest -s``), and asserts
 both zero failures and the stated wall-time budget. Every equality
 checked downstream is exact rational arithmetic; there is no tolerance.
+The last test pins the instance streams that the gates check.
 """
 
+import hashlib
+import json
 import time
 
-from sylres.verify import FuzzConfig, run_suite
+import pytest
+
+from sylres.verify import _SUITES, FuzzConfig, run_suite
 
 
 def _gate(number, label, names, cfg, budget):
@@ -79,3 +84,60 @@ def test_08_schur_consistency():
     # exact polynomial division that must leave a zero remainder
     _gate(8, "schur value consistency", ["schur-consistency"],
           FuzzConfig(seed=42, count=50), 30.0)
+
+
+# sha256 of each suite's generated instance stream, dumped as JSON with
+# sorted keys, at the configurations of the gates above and at one small
+# one. A generator edit that changes what the gates check fails here.
+_SMALL = FuzzConfig(seed=3, count=5)
+_TRAFFIC = [
+    ("thm14", FuzzConfig(seed=42, count=200, max_deg=6),
+     "25b2bfc756424ac298abc082767d4a35e92046196390208e8edaae1b2a8e7bb7"),
+    ("examples", FuzzConfig(seed=0, count=1),
+     "abcf8da328119109f9df03a77ffced7e119b9864f240510f55caa1e596bf0291"),
+    ("eq1", FuzzConfig(seed=42, count=100),
+     "01779e30591893988237e143a12cf97156a532c32775d933df777d3c5f529086"),
+    ("eq2", FuzzConfig(seed=42, count=100),
+     "01779e30591893988237e143a12cf97156a532c32775d933df777d3c5f529086"),
+    ("eq3", FuzzConfig(seed=42, count=100),
+     "01779e30591893988237e143a12cf97156a532c32775d933df777d3c5f529086"),
+    ("lemma24", FuzzConfig(seed=42, count=50),
+     "8e60590188a1b0e05a802163d9ea4d7fc1d73355889c7e7cd32e54976e377daa"),
+    ("prop21", FuzzConfig(seed=42, count=50),
+     "7026c76863013256bb647e1c2be9b43156b8285c7a71c6e75105a3f06717ec45"),
+    ("prop23", FuzzConfig(seed=42, count=30),
+     "1a2894c6f566db11ef6a407707f31cc753bc873191a8313a19cf386999064ac3"),
+    ("lemma34", FuzzConfig(seed=0, count=1, max_deg=6),
+     "0e60949b9b7636091b3059e0111c70e8de35617b0c4583cae793a6f62256ce6c"),
+    ("schur-consistency", FuzzConfig(seed=42, count=50),
+     "8393d8436bbcd555ead238593fb6771894c8005131b00ab6bde5236a45a7ef96"),
+    ("thm14", _SMALL,
+     "d7e558c7eceeab438026078041ff64996b480eab98db61e7683ce61caab771ae"),
+    ("thm12", _SMALL,
+     "3a264c1d9bff072afbcf469843ba53f7d6b0258c5cbfa05adc829e420375ab74"),
+    ("eq1", _SMALL,
+     "bb0fbbcfb15940beaac31739a1f330e8bb14933fe36ba2870c5c190968824c5e"),
+    ("eq2", _SMALL,
+     "bb0fbbcfb15940beaac31739a1f330e8bb14933fe36ba2870c5c190968824c5e"),
+    ("eq3", _SMALL,
+     "bb0fbbcfb15940beaac31739a1f330e8bb14933fe36ba2870c5c190968824c5e"),
+    ("lemma24", _SMALL,
+     "ef7eda1826b2981a57351585b09c06575697460da6885be7061a8486d63b8846"),
+    ("prop21", _SMALL,
+     "54dbc882db580b8ae169ec1d279d4c04121f1f11cea29d16844c5bf366a235b4"),
+    ("prop23", _SMALL,
+     "cdc7c55e07bf5de5db2ac852c8087cbb48f231f17f509a737851678aade15cdd"),
+    ("lemma34", _SMALL,
+     "0e60949b9b7636091b3059e0111c70e8de35617b0c4583cae793a6f62256ce6c"),
+    ("schur-consistency", _SMALL,
+     "7f43e25cfee458c9561ad38603a805f68c87bd375ba087887f7e452f861438f5"),
+    ("examples", _SMALL,
+     "abcf8da328119109f9df03a77ffced7e119b9864f240510f55caa1e596bf0291"),
+]
+
+
+@pytest.mark.parametrize("name, cfg, digest", _TRAFFIC, ids=[
+    f"{name}-{cfg.seed}-{cfg.count}" for name, cfg, _ in _TRAFFIC])
+def test_generated_traffic_is_unchanged(name, cfg, digest):
+    stream = json.dumps(list(_SUITES[name][0](cfg)), sort_keys=True)
+    assert hashlib.sha256(stream.encode()).hexdigest() == digest

@@ -12,8 +12,9 @@ from sylres.cli import build_parser, main
 from sylres.errors import ValidationError
 from sylres.poly import Poly
 from sylres.rationals import parse_rational
+from sylres.rootsets import RootMultiset
 from sylres.verify import (_SUITES, SUITE_NAMES, FuzzConfig, _pool_size,
-                           _sample_distinct, replay, validate_instance)
+                           _sample_distinct, decode_instance, replay)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -24,14 +25,14 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, timeout=60):
     """The CLI in a subprocess with a timeout, so a call that hangs fails
     the test."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "sylres.cli", *argv],
-                          capture_output=True, text=True, timeout=60,
+                          capture_output=True, text=True, timeout=timeout,
                           env=env)
 
 
@@ -210,6 +211,11 @@ class TestParseErrors:
         assert out == "x^2 - 4*x + 4\n"
 
 
+def _ints(lo, hi):
+    """The integers lo..hi-1 as multiset shorthand."""
+    return ",".join(map(str, range(lo, hi)))
+
+
 class TestVerify:
     def test_single_suite(self, capsys):
         rc, out, _ = run(capsys, "verify", "examples", "--count", "1")
@@ -253,6 +259,15 @@ class TestVerify:
         ' "nx": 1, "part": 7}}',
         # d below m'+n' = 2 is outside thm12's collapsed regime
         '{"suite": "thm12", "instance": {"a": "1:2", "b": "2:2", "d": 0}}',
+        # lemma24 holds for nx <= m+n-2d only, part 2 for |B| < d <= |A|
+        '{"suite": "lemma24", "instance": {"part": 1, "a": "1,2", "b": "3,4",'
+        ' "d": 1, "nx": 3}}',
+        '{"suite": "lemma24", "instance": {"part": 1, "a": "1,2", "b": "3,4",'
+        ' "d": 2, "nx": 1}}',
+        '{"suite": "lemma24", "instance": {"part": 2, "a": "1,2,3", "b": "4",'
+        ' "d": 2, "nx": 1}}',
+        '{"suite": "lemma24", "instance": {"part": 2, "a": "1,2", "b": "3,4",'
+        ' "d": 1, "nx": 0}}',
     ])
     def test_replay_bad_record(self, capsys, tmp_path, content):
         path = tmp_path / "inst.json"
@@ -264,9 +279,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_generated_instances_have_declared_fields(self, name):
-        gen, _ = _SUITES[name]
+        def encode(value):
+            if isinstance(value, list):
+                return [encode(v) for v in value]
+            if isinstance(value, RootMultiset):
+                return value.to_shorthand()
+            return str(value) if isinstance(value, F) else value
+
+        gen = _SUITES[name][0]
         for inst in gen(FuzzConfig(seed=3, count=4)):
-            assert validate_instance(name, inst) == inst
+            decoded = decode_instance(name, inst)
+            assert {k: encode(v) for k, v in decoded.items()} == inst
 
     @pytest.mark.parametrize("r", [16, 7, 0])
     def test_replay_lemma34_past_cap(self, tmp_path, r):
@@ -275,6 +298,36 @@ class TestVerify:
         path.write_text(json.dumps({"suite": "lemma34",
                                     "instance": {"r": r}}))
         out = run_subprocess("verify", "lemma34", "--replay", str(path))
+        assert out.returncode == 2, out
+        assert out.stdout == ""
+        assert out.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("suite, inst", [
+        # a grid of 2^30 points
+        ("prop21", {"a": "1,2", "b": "3,4", "e": _ints(5, 36), "d": 1,
+                    "nx": 30}),
+        # a split sum over |E| = 60, 54 past its minimum
+        ("prop21", {"a": "1,2,3,4", "b": "5,6,7,8", "e": _ints(10, 70),
+                    "d": 2, "nx": 2}),
+        # |A| + |B| = 24, whose minimal E has 18 values
+        ("prop21", {"a": _ints(1, 13), "b": _ints(13, 25),
+                    "e": _ints(30, 50), "d": 6, "nx": 1}),
+        # 10^7 grid values, built before any other check
+        ("prop21", {"a": "1,2", "b": "3,4", "e": "5", "d": 10 ** 7,
+                    "nx": 0}),
+        # sums over the C(40, 20) and C(40, 5) subsets of E
+        ("prop23", {"e": _ints(1, 41), "d": 20,
+                    "xs": _ints(100, 120).split(",")}),
+        ("prop23", {"e": _ints(1, 41), "d": 5,
+                    "xs": _ints(100, 135).split(",")}),
+    ])
+    def test_replay_past_cost_cap(self, tmp_path, suite, inst):
+        # each is refused up front, well inside the timeout, instead of
+        # running for a minute or more
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"suite": suite, "instance": inst}))
+        out = run_subprocess("verify", suite, "--replay", str(path),
+                             timeout=10)
         assert out.returncode == 2, out
         assert out.stdout == ""
         assert out.stderr.startswith("error:")
