@@ -51,10 +51,6 @@ class Poly:
         return cls((qof(c),))
 
     @classmethod
-    def x(cls) -> "Poly":
-        return cls((Q0, Q1))
-
-    @classmethod
     def monomial(cls, k: int, c=Q1) -> "Poly":
         return cls((Q0,) * k + (qof(c),))
 

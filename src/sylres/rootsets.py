@@ -78,10 +78,6 @@ class RootMultiset:
         excess = RootMultiset((v, m - 1) for v, m in self.entries if m > 1)
         return distinct, excess
 
-    def union(self, other: "RootMultiset") -> "RootMultiset":
-        """Multiset union: multiplicities add."""
-        return RootMultiset(self.entries + other.entries)
-
     def difference(self, other: "RootMultiset") -> "RootMultiset":
         """Multiset difference; raises if other is not contained in self."""
         counts = dict(self.entries)

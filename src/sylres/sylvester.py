@@ -6,20 +6,20 @@ and the multiset generalization `sylm`). They are tied together by the sign
 (-1)^(d(m-d)). The multivariate evaluators at the bottom back the grid-based
 identity checks.
 
-The six split sums over sets (`syl_single`, `syl_double`, `single_sum_eval`,
-`exchange_rhs_eval`, `apery_jouanolou_rhs` and `sym_interp_eval`) run on one
-kernel, `_DifferenceTable`: the values are scaled to integers by their common
-denominator, every term is an integer over one Vandermonde product, and each
-result makes one Fraction per output coefficient. The multiset sum `sylm`
-takes its difference-product ratios and x-parts from `_base_table`, built on
-the same kernel once per subset sizes and call. Its confluent Schur factors
-run on the integer Jacobi–Trudi kernel of `schur`, over the same scaled
-values. Each factor is computed once, at the loop level of `_terms_general`
-that fixes its removed rows, for every subset that level's terms use, and
-lives no longer than that level; no `RootMultiset` or `SchurSpec` is built
-per term. The literal forms of these sums, which build a `RootMultiset` per
-block and multiply `rprod` values or ask the cached Schur entries, survive
-only as test references.
+The split sums over sets run on one kernel, `_DifferenceTable`: the values are
+scaled to integers by their common denominator D, every term is an integer
+over one Vandermonde product, and each result makes one Fraction per output
+coefficient. `_split_sum` sets it up for the sums over one set and derives
+their power of D; `exchange_rhs_eval` is a sign times the single sum over B.
+The multiset sum `sylm` takes its difference-product ratios and x-parts from
+`_base_table`, built on the same kernel once per subset sizes and call. Its
+confluent Schur factors run on the integer Jacobi–Trudi kernel of `schur`,
+over the same scaled values. Each factor is computed once, at the loop level
+of `_terms_general` that fixes its removed rows, for every subset that level's
+terms use, and lives no longer than that level; no `RootMultiset` or
+`SchurSpec` is built per term. The literal forms of these sums, which build a
+`RootMultiset` per block and multiply `rprod` values or ask the cached Schur
+entries, survive only as test references.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .combinatorics import IndexPartition, enum_splits, sigma_sign
 from .errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
-                     InconsistentRemovalCount, MultiplicityNotOne,
-                     TooFewElements)
+                     MultiplicityNotOne, TooFewElements)
 from .linalg import det_z_bordered
 from .poly import Poly, linear_product
 from .rationals import common_denominator, qof, scaled
@@ -99,12 +98,6 @@ def sres_det(f: Poly, g: Poly, d: int) -> Poly:
 # -- split-sum kernel ------------------------------------------------------
 
 
-def _scaled_entries(x: RootMultiset, den: int) -> list[Tuple[int, int]]:
-    """(value times den, multiplicity) for each distinct value of x."""
-    return list(zip(scaled(x.distinct_values(), den),
-                    (mult for _, mult in x.entries)))
-
-
 def _over(num: int, vand: int, den: int, exp: int) -> Fraction:
     """num * den^exp / vand, exactly."""
     if exp >= 0:
@@ -123,9 +116,8 @@ class _DifferenceTable:
     the one denominator V, and no Fraction is made per term.
 
     Callers scale all values by their common denominator D first, so a
-    product of k differences is D^k times its rational value. The sums are
-    homogeneous, so the block sizes fix the power of D, and each caller
-    divides its integer total by V D^exp once per output coefficient.
+    product of k differences is D^k times its rational value, and divide
+    each integer total by V D^exp once per output coefficient.
     """
 
     __slots__ = ("diff", "vandermonde")
@@ -180,6 +172,34 @@ class _DifferenceTable:
                 yield blocks, weight * (vand // cross)
 
 
+def _split_sum(values: Sequence[Fraction], sizes: Sequence[int],
+               sides: Sequence[Sequence[Tuple[Fraction, int]]]) -> tuple:
+    """The setup of a split sum over the distinct values E of a set.
+
+    Block b holds s_b = `sizes[b]` values e of E, each with the factor
+    R(e, Y_b) for its side Y_b = `sides[b]`, (value, multiplicity) pairs
+    (none if empty). Returns E's values scaled by the common denominator D,
+    the splits, and `over`: `over(t, shift)` is D^shift times the value of
+    an integer total t of their weights, which hold sum_{b<c} s_b s_c cross
+    and sum_b s_b |Y_b| element differences.
+    """
+    den = common_denominator(values, *([v for v, _ in y] for y in sides))
+    w = scaled(values, den)
+    table = _DifferenceTable(w)
+    factors = []
+    for side in sides:
+        wy = scaled([v for v, _ in side], den)
+        factors.append([prod((e - v) ** mu for v, (_, mu) in zip(wy, side))
+                        for e in w] if side else None)
+    exp = (sum(s * t for s, t in combinations(sizes, 2))
+           - sum(s * mu for s, side in zip(sizes, sides) for _, mu in side))
+
+    def over(num: int, shift: int = 0) -> Fraction:
+        return _over(num, table.vandermonde, den, exp + shift)
+
+    return w, table.splits(sizes, factors), over
+
+
 # -- classical sums for sets ------------------------------------------------------
 
 
@@ -190,24 +210,17 @@ def syl_single(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
     set; B may be any multiset (it only enters through R(A2, B)).
     """
     _require_set(a, "A")
-    m, n = a.size, b.size
+    m = a.size
     if not 0 <= d <= m:
         raise DegreeWindow(f"d={d} outside 0..{m}")
-    avals = a.distinct_values()
-    den = common_denominator(avals, b.distinct_values())
-    wa = scaled(avals, den)
-    wb = _scaled_entries(b, den)
-    table = _DifferenceTable(wa)
-    a2_factors = [prod((v - u) ** mu for u, mu in wb) for v in wa]
+    wa, splits, over = _split_sum(a.distinct_values(), (d, m - d),
+                                  ((), b.entries))
     coeffs = [0] * (d + 1)
-    for (a1, _), weight in table.splits((d, m - d), (None, a2_factors)):
+    for (a1, _), weight in splits:
         for k, c in enumerate(linear_product([wa[i] for i in a1])):
             coeffs[k] += weight * c
-    # R(A2, B) has (m-d)n differences, R(A1, A2) d(m-d), and the
-    # coefficient of x^k in R(x, A1) is a product of d-k roots.
-    exp = (m - d) * (d - n) - d
-    return Poly(_over(c, table.vandermonde, den, exp + k)
-                for k, c in enumerate(coeffs))
+    # the coefficient of x^k in R(x, A1) is a product of d-k roots
+    return Poly(over(c, k - d) for k, c in enumerate(coeffs))
 
 
 def syl_double(a: RootMultiset, b: RootMultiset, p: int, q: int) -> Poly:
@@ -280,9 +293,9 @@ def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
     Maps each pair of index tuples (A', B') of sizes (s_a, s_b) into the
     distinct values of A and B to (R(A excess, B̄ - B') R(Ā - A', B - B')
     / (R(A', Ā - A') R(B', B̄ - B')), R(x, A') R(x, B')), leaving out the
-    pairs whose numerator vanishes. Like `syl_double`, it runs as an outer
-    split of B̄ and, per B', an inner split of Ā whose element factors
-    are the numerator's differences.
+    pairs whose numerator vanishes. It runs as an outer split of Ā and,
+    per A', an inner split of B̄ whose element factors are the numerator's
+    differences, so the pairs come in A'-outer lexicographic order.
     """
     avals, bvals = a.distinct_values(), b.distinct_values()
     mult_a = [mult for _, mult in a.entries]
@@ -291,23 +304,24 @@ def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
     den = common_denominator(avals, bvals)
     wa, wb = scaled(avals, den), scaled(bvals, den)
     ta, tb = _DifferenceTable(wa), _DifferenceTable(wb)
-    cross = [[u - v for v in wb] for u in wa]
+    cross = [[u - v for u in wa] for v in wb]
+    # R(A excess, b_j) and, per A', R(Ā - A', b_j) for each b_j
+    excess = [prod(c ** (ma - 1) for c, ma in zip(row, mult_a))
+              for row in cross]
     # m'(n̄ - s_b) + (m̄ - s_a)(n - s_b) differences over s_a(m̄ - s_a) +
     # s_b(n̄ - s_b)
     exp = (s_a * (mbar - s_a) + s_b * (nbar - s_b)
            - (a.size - mbar) * (nbar - s_b) - (mbar - s_a) * (b.size - s_b))
     vand = ta.vandermonde * tb.vandermonde
     table = {}
-    for (bp, b_rest), outer in tb.splits((s_b, nbar - s_b), (None, None)):
-        in_ap = [prod(row[j] for j in b_rest) ** (ma - 1)
-                 for row, ma in zip(cross, mult_a)]
-        out_ap = [e * prod(row[j] ** mult_b[j] for j in b_rest)
-                  * prod(row[j] ** (mult_b[j] - 1) for j in bp)
-                  for e, row in zip(in_ap, cross)]
-        bp_roots = [wb[j] for j in bp]
-        for (ap, _), weight in ta.splits((s_a, mbar - s_a), (in_ap, out_ap)):
+    for (ap, a_rest), outer in ta.splits((s_a, mbar - s_a), (None, None)):
+        rest = [prod(row[i] for i in a_rest) for row in cross]
+        in_bp = [r ** (mb - 1) for r, mb in zip(rest, mult_b)]
+        out_bp = [e * r ** mb for e, r, mb in zip(excess, rest, mult_b)]
+        ap_roots = [wa[i] for i in ap]
+        for (bp, _), weight in tb.splits((s_b, nbar - s_b), (in_bp, out_bp)):
             # the coefficient of x^k is a product of s_a + s_b - k roots
-            xpart = linear_product([wa[i] for i in ap] + bp_roots)
+            xpart = linear_product(ap_roots + [wb[j] for j in bp])
             table[ap, bp] = (
                 _over(weight * outer, vand, den, exp),
                 Poly(_over(c, 1, den, k - s_a - s_b)
@@ -327,9 +341,8 @@ def _terms_collapsed(a: RootMultiset, b: RootMultiset,
     if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
         return
     avals, bvals = a.distinct_values(), b.distinct_values()
-    # sorted index tuples: A'-outer lexicographic order
-    for (a_idx, b_idx), (ratio, xpart) in sorted(
-            _base_table(a, b, s_a, s_b).items()):
+    table = _base_table(a, b, s_a, s_b)
+    for (a_idx, b_idx), (ratio, xpart) in table.items():
         yield SylmTerm(empty, tuple(avals[i] for i in a_idx),
                        tuple(bvals[j] for j in b_idx), sign,
                        xpart.scale(sign * ratio))
@@ -364,18 +377,13 @@ def _terms_general(a: RootMultiset, b: RootMultiset,
             r3 = r - r1 - r2
             if not max(0, np_ - d) <= r3 <= n - d:
                 continue
+            # each factor removes the rows its points leave over:
+            # r1 = d-s_a-s_b, r2 = m-d-(m̄-s_a) and r3 = n-d-(n̄-s_b)
             s_a = r2 + d - mp
-            s_b = r3 + min(mp, d - np_)
+            s_b = r3 + d - np_
             if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
                 continue
-            # each factor removes as many rows as its points leave over
-            if (r1 != d - s_a - s_b or r2 != m - d - (mbar - s_a)
-                    or r3 != n - d - (nbar - s_b)):
-                raise InconsistentRemovalCount(
-                    f"removed row counts ({r1}, {r2}, {r3}) do not fit "
-                    f"subsets of sizes ({s_a}, {s_b})")
-            # sorted index tuples: A'-outer lexicographic order
-            pairs = sorted(_base_table(a, b, s_a, s_b).items())
+            pairs = list(_base_table(a, b, s_a, s_b).items())
             e1 = [elementary([wa[i] for i in a_idx] + [wb[j] for j in b_idx])
                   for (a_idx, b_idx), _ in pairs]
             e2 = {a_idx: elementary([w for i, w in enumerate(wa)
@@ -442,47 +450,32 @@ def single_sum_eval(a: RootMultiset, b: RootMultiset, d: int,
                     xs: Sequence) -> Fraction:
     """The single sum with the symbolic x replaced by a tuple of values."""
     _require_set(a, "A")
-    m, n = a.size, b.size
+    m = a.size
     if not 0 <= d <= m:
         raise DegreeWindow(f"d={d} outside 0..{m}")
-    xs = tuple(qof(v) for v in xs)
-    avals = a.distinct_values()
-    den = common_denominator(avals, b.distinct_values(), xs)
-    wa, wx = scaled(avals, den), scaled(xs, den)
-    wb = _scaled_entries(b, den)
-    table = _DifferenceTable(wa)
-    a1_factors = [prod(x - v for x in wx) for v in wa]
-    a2_factors = [prod((v - u) ** mu for u, mu in wb) for v in wa]
-    total = sum(weight for _, weight in
-                table.splits((d, m - d), (a1_factors, a2_factors)))
-    exp = d * (m - d) - d * len(xs) - (m - d) * n
-    return _over(total, table.vandermonde, den, exp)
+    xs = [(qof(v), 1) for v in xs]
+    _, splits, over = _split_sum(a.distinct_values(), (d, m - d),
+                                 (xs, b.entries))
+    total = sum(weight for _, weight in splits)
+    # R(X, A1) = (-1)^(d|X|) R(A1, X)
+    return over(-total if (d * len(xs)) % 2 else total)
 
 
 def exchange_rhs_eval(a: RootMultiset, b: RootMultiset, d: int,
                       xs: Sequence) -> Fraction:
-    """Right-hand side of the exchange identity, summing over B instead."""
+    """Right-hand side of the exchange identity, summing over B instead.
+
+    Each split B1 | B2 of B with |B1| = d contributes (-1)^(d(m-d))
+    R(X, B1) R(A, B2) / R(B1, B2), and R(A, B2) = (-1)^(m(n-d)) R(B2, A).
+    """
     _require_set(b, "B")
-    n = b.size
+    m, n = a.size, b.size
     if d < 0:
         raise DegreeWindow(f"d={d} is negative")
     if n < d:
         raise TooFewElements(f"|B|={n} below d={d}")
-    xs = tuple(qof(v) for v in xs)
-    m = a.size
-    bvals = b.distinct_values()
-    den = common_denominator(bvals, a.distinct_values(), xs)
-    wb, wx = scaled(bvals, den), scaled(xs, den)
-    wa = _scaled_entries(a, den)
-    table = _DifferenceTable(wb)
-    b1_factors = [prod(x - v for x in wx) for v in wb]
-    b2_factors = [prod((u - v) ** mu for u, mu in wa) for v in wb]
-    total = sum(weight for _, weight in
-                table.splits((d, n - d), (b1_factors, b2_factors)))
-    if (d * (m - d)) % 2:
-        total = -total
-    exp = d * (n - d) - d * len(xs) - m * (n - d)
-    return _over(total, table.vandermonde, den, exp)
+    total = single_sum_eval(b, a, d, xs)
+    return -total if (d * (m - d) + m * (n - d)) % 2 else total
 
 
 def apery_jouanolou_rhs(a: RootMultiset, b: RootMultiset, d: int,
@@ -493,27 +486,18 @@ def apery_jouanolou_rhs(a: RootMultiset, b: RootMultiset, d: int,
     R(X, E1) R(E2, B) R(A, E3) / (R(E1, E2) R(E1, E3) R(E2, E3)).
     """
     _require_set(e, "E")
-    xs = tuple(qof(v) for v in xs)
+    xs = [(qof(v), 1) for v in xs]
     m, n = a.size, b.size
     bound = max(len(xs) + d, m + n - d, m)
     if e.size < bound:
         raise CardinalityTooSmall(f"|E|={e.size} below required {bound}")
     if not 0 <= d <= m:
         raise DegreeWindow(f"d={d} outside 0..{m}")
-    evals = e.distinct_values()
-    size = len(evals)
-    den = common_denominator(evals, a.distinct_values(), b.distinct_values(), xs)
-    we, wx = scaled(evals, den), scaled(xs, den)
-    wa, wb = _scaled_entries(a, den), _scaled_entries(b, den)
-    table = _DifferenceTable(we)
-    factors = ([prod(x - v for x in wx) for v in we],
-               [prod((v - u) ** mu for u, mu in wb) for v in we],
-               [prod((u - v) ** mu for u, mu in wa) for v in we])
-    total = sum(weight for _, weight in
-                table.splits((d, m - d, size - m), factors))
-    exp = (d * (m - d) + d * (size - m) + (m - d) * (size - m)
-           - d * len(xs) - (m - d) * n - (size - m) * m)
-    return _over(total, table.vandermonde, den, exp)
+    _, splits, over = _split_sum(e.distinct_values(), (d, m - d, e.size - m),
+                                 (xs, b.entries, a.entries))
+    total = sum(weight for _, weight in splits)
+    # R(X, E1) R(A, E3) = (-1)^(d|X| + (|E|-m)m) R(E1, X) R(E3, A)
+    return over(-total if (d * len(xs) + (e.size - m) * m) % 2 else total)
 
 
 def sym_interp_eval(e: RootMultiset, d: int,
@@ -528,19 +512,13 @@ def sym_interp_eval(e: RootMultiset, d: int,
     size = e.size
     if not 0 <= d < size:
         raise DegreeWindow(f"d={d} outside 0..{size - 1}")
-    xs = tuple(qof(v) for v in xs)
+    xs = [(qof(v), 1) for v in xs]
     if len(xs) != size - d:
         raise ArityMismatch(f"need {size - d} values, got {len(xs)}")
     evals = e.distinct_values()
-    den = common_denominator(evals, xs)
-    we, wx = scaled(evals, den), scaled(xs, den)
-    table = _DifferenceTable(we)
-    ep_factors = [prod(x - v for x in wx) for v in we]
+    _, splits, over = _split_sum(evals, (d, size - d), (xs, ()))
     total = Fraction(0)
-    for (_, rest), weight in table.splits((d, size - d), (ep_factors, None)):
+    for (_, rest), weight in splits:
         total += qof(h(tuple(evals[i] for i in rest))) * weight
-    # R(E - E', E') = (-1)^(d(size-d)) R(E', E - E')
-    if (d * (size - d)) % 2:
-        total = -total
-    exp = d * (size - d) - d * len(xs)
-    return total * _over(1, table.vandermonde, den, exp)
+    # R(X, E') / R(E - E', E') = R(E', X) / R(E', E - E') as |X| = |E - E'|
+    return total * over(1)

@@ -40,8 +40,8 @@ class FuzzConfig:
 
     A negative count, or a degree or bound below 1, is refused here with
     ValidationError. `_sample_distinct` refuses more distinct values than
-    the bound admits, `lemma24` a max degree below 3, and `run_suite` a
-    thm14 run of 8 or more instances with a max degree below 2. No check
+    the bound admits, `lemma24` a max degree outside 3..12, and `run_suite`
+    a thm14 run of 8 or more instances with a max degree below 2. No check
     draws a number, so a config that can be met draws the same instances
     whether or not the checks run.
     """
@@ -327,11 +327,18 @@ def _check_double(inst: dict, by_sres: bool) -> dict:
     return {"ok": True}
 
 
+# lemma24's sums run over the C(|A|, d) splits of A and the C(|B|, d) of B
+# at each grid point: at most C(12, 6) = 924 at this cap, C(30, 15) =
+# 155,117,520 at |A| = 30
+_LEMMA24_MAX_SIZE = 12
+
+
 def _gen_lemma24(cfg: FuzzConfig):
     # part (2) needs |B| < d <= |A| with |A| + |B| - 2d >= 0, so |A| >= 3
-    if cfg.max_deg < 3:
+    if not 3 <= cfg.max_deg <= _LEMMA24_MAX_SIZE:
         raise ValidationError(
-            f"lemma24 needs max degree >= 3, got {cfg.max_deg}")
+            f"lemma24 needs max degree 3..{_LEMMA24_MAX_SIZE}, "
+            f"got {cfg.max_deg}")
     rng = random.Random(cfg.seed)
     emitted = 0
     while emitted < 2 * cfg.count:
@@ -359,6 +366,10 @@ def _gen_lemma24(cfg: FuzzConfig):
 def _check_lemma24(inst: dict) -> dict:
     a, b, d, nx = inst["a"], inst["b"], inst["d"], inst["nx"]
     m, n = a.size, b.size
+    if max(m, n) > _LEMMA24_MAX_SIZE:
+        raise ValidationError(
+            f"lemma24 needs |A|, |B| <= {_LEMMA24_MAX_SIZE}; "
+            f"got |A|={m}, |B|={n}")
     # the lemma's hypotheses, which _gen_lemma24 draws
     if nx > m + n - 2 * d or (inst["part"] == 2 and not n < d <= m):
         raise ValidationError(

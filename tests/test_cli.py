@@ -320,6 +320,9 @@ class TestVerify:
                     "xs": _ints(100, 120).split(",")}),
         ("prop23", {"e": _ints(1, 41), "d": 5,
                     "xs": _ints(100, 135).split(",")}),
+        # a single sum over the C(30, 15) subsets of A
+        ("lemma24", {"part": 1, "a": _ints(1, 31), "b": _ints(31, 61),
+                     "d": 15, "nx": 0}),
     ])
     def test_replay_past_cost_cap(self, tmp_path, suite, inst):
         # each is refused up front, well inside the timeout, instead of
@@ -368,6 +371,8 @@ class TestUnmeetableFuzzConfig:
         ["fuzz", "--count", "1", "--max-deg", "1"],
         # 8 or more thm14 instances must reach a repeated root
         ["verify", "thm14", "--max-deg", "1", "--count", "8"],
+        # past the size cap of lemma24's single sums
+        ["verify", "lemma24", "--max-deg", "13"],
     ])
     def test_exits_2(self, argv):
         out = run_subprocess(*argv)

@@ -115,18 +115,18 @@ class TestDetP:
         assert det_p(m_p) == Poly.constant(det_q(rows))
 
     def test_two_poly_columns_rejected(self):
-        x = Poly.x()
+        x = Poly.monomial(1)
         with pytest.raises(MultiplePolyColumns):
             det_p([[x, x], [x, x]])
 
     def test_not_square(self):
         with pytest.raises(NotSquare):
-            det_p([[Poly.one(), Poly.x()]])
+            det_p([[Poly.one(), Poly.monomial(1)]])
 
     def test_zero_column(self):
         # a zero column beside the polynomial one, and a zero last column
         # that leaves no coefficient column at all
-        x, zero = Poly.x(), Poly.zero()
+        x, zero = Poly.monomial(1), Poly.zero()
         assert det_p([[x, zero], [x, zero]]) == zero
         assert det_p([[Poly.one(), zero], [Poly.constant(2), zero]]) == zero
 
@@ -158,14 +158,14 @@ class TestConfluentVandermonde:
 class TestConfluentVandermondeWithX:
     def test_empty_points(self):
         v = vandermonde_confluent_with_x(2, RootMultiset.empty())
-        assert v == [[Poly.x()], [Poly.one()]]
+        assert v == [[Poly.monomial(1)], [Poly.one()]]
 
     def test_two_simple_points(self):
         a = F(4)
         v = vandermonde_confluent_with_x(3, RM((a, 1)))
         expect = [
             [Poly.constant(16), Poly.monomial(2)],
-            [Poly.constant(4), Poly.x()],
+            [Poly.constant(4), Poly.monomial(1)],
             [Poly.one(), Poly.one()],
         ]
         assert v == expect
@@ -178,7 +178,7 @@ class TestConfluentVandermondeWithX:
             [Poly.constant(2), Poly.one()],
             [Poly.one(), Poly.zero()]]
         assert [row[2] for row in v] == [
-            Poly.monomial(2), Poly.x(), Poly.one()]
+            Poly.monomial(2), Poly.monomial(1), Poly.one()]
 
     def test_too_many_columns(self):
         with pytest.raises(TooManyColumns):

@@ -92,7 +92,7 @@ class TestSchurPolyX:
         spec = SchurSpec(6, (2, 4), x, with_x=True)
         p = schur_poly_x(spec)
         fresh = F(9)
-        plain = schur_value(SchurSpec(6, (2, 4), x.union(RM((fresh, 1)))))
+        plain = schur_value(SchurSpec(6, (2, 4), RM(*x.entries, (fresh, 1))))
         assert p(fresh) == plain
 
 
