@@ -8,18 +8,17 @@ identity checks.
 
 The split sums over sets run on one kernel, `_DifferenceTable`: the values are
 scaled to integers by their common denominator D, every term is an integer
-over one Vandermonde product, and each result makes one Fraction per output
-coefficient. `_split_sum` sets it up for the sums over one set and derives
-their power of D; `exchange_rhs_eval` is a sign times the single sum over B.
-The multiset sum `sylm` takes its difference-product ratios and x-parts from
-`_base_table`, built on the same kernel once per subset sizes and call. Its
-confluent Schur factors run on the integer Jacobi–Trudi kernel of `schur`,
-over the same scaled values. Each factor is computed once, at the loop level
-of `_terms_general` that fixes its removed rows, for every subset that level's
-terms use, and lives no longer than that level; no `RootMultiset` or
-`SchurSpec` is built per term. The literal forms of these sums, which build a
-`RootMultiset` per block and multiply `rprod` values or ask the cached Schur
-entries, survive only as test references.
+over one Vandermonde product, and the kernel totals the later blocks' terms
+per first block. `_split_sum` sets it up for the sums over one set and derives
+their power of D. The points X of the evaluators are applied per evaluation,
+scaled by their own common denominator, as one product per first block. The
+`*_at` forms build a sum once, and the grid checks of `verify` build each side
+so once per record.
+`sylm` takes its difference-product ratios and x-parts from `_base_table`, on
+the same kernel, and its confluent Schur factors from the integer
+Jacobi–Trudi kernel of `schur`, each computed once at the loop level of
+`_terms_general` that fixes its removed rows. The literal forms of these sums
+survive only as test references.
 """
 
 from __future__ import annotations
@@ -129,13 +128,14 @@ class _DifferenceTable:
 
     def splits(self, sizes: Sequence[int],
                factors: Sequence[Optional[Sequence[int]]]
-               ) -> Iterator[Tuple[tuple, int]]:
-        """(blocks, weight) for each ordered split with nonzero weight.
+               ) -> Iterator[Tuple[tuple, tuple, int]]:
+        """(B1, rest, total) for each first block B1 with a nonzero total.
 
         `sizes` and `factors` have one entry per block, two or three
         blocks. `factors[b][i]` is the factor of value i when it lies in
-        block b (None: 1). The weight is the product of the element
-        factors times V // cross.
+        block b (None: 1). A split's weight is the product of the element
+        factors times V // cross; `total` sums the weights of the splits
+        of `rest` into the later blocks, one split for two blocks.
         """
         diff, vand = self.diff, self.vandermonde
         three = len(sizes) == 3
@@ -153,6 +153,7 @@ class _DifferenceTable:
                 for j in rest:
                     c1 *= row[j]
             inner = enum_splits(rest, sizes[1]) if three else ((rest, ()),)
+            total = 0
             for b2, b3 in inner:
                 weight = w1
                 if f2 is not None:
@@ -168,39 +169,56 @@ class _DifferenceTable:
                     row = diff[i]
                     for j in b3:
                         cross *= row[j]
-                blocks = (b1, b2, b3) if three else (b1, b2)
-                yield blocks, weight * (vand // cross)
+                total += weight * (vand // cross)
+            if total:
+                yield b1, rest, total
 
 
 def _split_sum(values: Sequence[Fraction], sizes: Sequence[int],
                sides: Sequence[Sequence[Tuple[Fraction, int]]]) -> tuple:
     """The setup of a split sum over the distinct values E of a set.
 
-    Block b holds s_b = `sizes[b]` values e of E, each with the factor
-    R(e, Y_b) for its side Y_b = `sides[b]`, (value, multiplicity) pairs
-    (none if empty). Returns E's values scaled by the common denominator D,
-    the splits, and `over`: `over(t, shift)` is D^shift times the value of
-    an integer total t of their weights, which hold sum_{b<c} s_b s_c cross
-    and sum_b s_b |Y_b| element differences.
-    """
+    Block 0 holds s_0 values e of E, each with the factor R(e, X) for the
+    points X of one evaluation; block b > 0 holds s_b values, each with
+    R(e, Y_b) for the (value, multiplicity) pairs Y_b = `sides[b - 1]`.
+    Returns E's values scaled by their common denominator D, the totals
+    per first block E1, and `at(xs)`, which scales X by its own common
+    denominator dx and returns the integers (D dx)^|X| R(e, X) per value
+    and `over(t, shift=0)`: D^shift times the value of an integer t, a
+    sum of totals times the factors of E1."""
     den = common_denominator(values, *([v for v, _ in y] for y in sides))
     w = scaled(values, den)
     table = _DifferenceTable(w)
-    factors = []
+    factors = [None]
     for side in sides:
         wy = scaled([v for v, _ in side], den)
         factors.append([prod((e - v) ** mu for v, (_, mu) in zip(wy, side))
                         for e in w] if side else None)
     exp = (sum(s * t for s, t in combinations(sizes, 2))
-           - sum(s * mu for s, side in zip(sizes, sides) for _, mu in side))
+           - sum(s * mu for s, y in zip(sizes[1:], sides) for _, mu in y))
+    splits = list(table.splits(sizes, factors))
 
-    def over(num: int, shift: int = 0) -> Fraction:
-        return _over(num, table.vandermonde, den, exp + shift)
+    def at(xs: Sequence) -> tuple:
+        xs = [qof(v) for v in xs]
+        dx = common_denominator(xs)
+        ux, k = scaled(xs, dx), sizes[0] * len(xs)
+        vand, exp_x = table.vandermonde * dx ** k, exp - k
+        return ([prod(e * dx - den * u for u in ux) for e in w],
+                lambda num, shift=0: _over(num, vand, den, exp_x + shift))
 
-    return w, table.splits(sizes, factors), over
+    return w, splits, at
 
 
 # -- classical sums for sets ------------------------------------------------------
+
+
+def _single_sum(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
+    """The checks and `_split_sum` of the single sum over A, |A1| = d."""
+    _require_set(a, "A")
+    m = a.size
+    if not 0 <= d <= m:
+        raise DegreeWindow(f"d={d} outside 0..{m}")
+    return _split_sum(a.distinct_values(), (d, m - d), (b.entries,))
 
 
 def syl_single(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
@@ -209,14 +227,10 @@ def syl_single(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
     Each split contributes R(x, A1) R(A2, B) / R(A1, A2). A must be a
     set; B may be any multiset (it only enters through R(A2, B)).
     """
-    _require_set(a, "A")
-    m = a.size
-    if not 0 <= d <= m:
-        raise DegreeWindow(f"d={d} outside 0..{m}")
-    wa, splits, over = _split_sum(a.distinct_values(), (d, m - d),
-                                  ((), b.entries))
+    wa, splits, at = _single_sum(a, b, d)
+    _, over = at(())
     coeffs = [0] * (d + 1)
-    for (a1, _), weight in splits:
+    for a1, _, weight in splits:
         for k, c in enumerate(linear_product([wa[i] for i in a1])):
             coeffs[k] += weight * c
     # the coefficient of x^k in R(x, A1) is a product of d-k roots
@@ -243,11 +257,11 @@ def syl_double(a: RootMultiset, b: RootMultiset, p: int, q: int) -> Poly:
     cross_ab = [[u - v for v in wb] for u in wa]
     a_polys: dict[tuple, list[int]] = {}
     coeffs = [0] * (p + q + 1)
-    for (bp, b_rest), outer in tb.splits((q, n - q), (None, None)):
+    for bp, b_rest, outer in tb.splits((q, n - q), (None, None)):
         in_bp = [prod(row[j] for j in bp) for row in cross_ab]
         out_bp = [prod(row[j] for j in b_rest) for row in cross_ab]
         inner = [0] * (p + 1)
-        for (ap, _), weight in ta.splits((p, m - p), (in_bp, out_bp)):
+        for ap, _, weight in ta.splits((p, m - p), (in_bp, out_bp)):
             poly = a_polys.get(ap)
             if poly is None:
                 poly = a_polys[ap] = linear_product([wa[i] for i in ap])
@@ -314,12 +328,12 @@ def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
            - (a.size - mbar) * (nbar - s_b) - (mbar - s_a) * (b.size - s_b))
     vand = ta.vandermonde * tb.vandermonde
     table = {}
-    for (ap, a_rest), outer in ta.splits((s_a, mbar - s_a), (None, None)):
+    for ap, a_rest, outer in ta.splits((s_a, mbar - s_a), (None, None)):
         rest = [prod(row[i] for i in a_rest) for row in cross]
         in_bp = [r ** (mb - 1) for r, mb in zip(rest, mult_b)]
         out_bp = [e * r ** mb for e, r, mb in zip(excess, rest, mult_b)]
         ap_roots = [wa[i] for i in ap]
-        for (bp, _), weight in tb.splits((s_b, nbar - s_b), (in_bp, out_bp)):
+        for bp, _, weight in tb.splits((s_b, nbar - s_b), (in_bp, out_bp)):
             # the coefficient of x^k is a product of s_a + s_b - k roots
             xpart = linear_product(ap_roots + [wb[j] for j in bp])
             table[ap, bp] = (
@@ -437,36 +451,50 @@ def sylm_terms(a: RootMultiset, b: RootMultiset, d: int,
 def sylm(a: RootMultiset, b: RootMultiset, d: int,
          force_collapsed: bool = False) -> Poly:
     """Multiset Sylvester single sum; equals (-1)^(d(m-d)) Sres_d."""
-    total = Poly.zero()
-    for term in sylm_terms(a, b, d, force_collapsed=force_collapsed):
-        total = total + term.value
-    return total
+    return sum((term.value for term in sylm_terms(
+        a, b, d, force_collapsed=force_collapsed)), Poly.zero())
 
 
 # -- multivariate evaluators --------------------------------------------------
 
 
+def _point_sum(splits: list, at: Callable, s0: int, sign: int,
+               nx: Optional[int] = None) -> Callable[[Sequence], Fraction]:
+    """The split sum as a function of the points X, times (-1)^sign, where
+    R(X, E1) = (-1)^(s0 |X|) R(E1, X); with nx, others raise ArityMismatch."""
+    def evaluate(xs: Sequence) -> Fraction:
+        if nx is not None and len(xs) != nx:
+            raise ArityMismatch(f"need {nx} values, got {len(xs)}")
+        rx, over = at(xs)
+        total = 0
+        for e1, _, weight in splits:
+            for i in e1:
+                weight *= rx[i]
+            total += weight
+        return over(-total if (s0 * len(xs) + sign) % 2 else total)
+    return evaluate
+
+
+def single_sum_at(a: RootMultiset, b: RootMultiset,
+                  d: int) -> Callable[[Sequence], Fraction]:
+    """The single sum as a function of the values that replace x."""
+    _, splits, at = _single_sum(a, b, d)
+    return _point_sum(splits, at, d, 0)
+
+
 def single_sum_eval(a: RootMultiset, b: RootMultiset, d: int,
                     xs: Sequence) -> Fraction:
-    """The single sum with the symbolic x replaced by a tuple of values."""
-    _require_set(a, "A")
-    m = a.size
-    if not 0 <= d <= m:
-        raise DegreeWindow(f"d={d} outside 0..{m}")
-    xs = [(qof(v), 1) for v in xs]
-    _, splits, over = _split_sum(a.distinct_values(), (d, m - d),
-                                 (xs, b.entries))
-    total = sum(weight for _, weight in splits)
-    # R(X, A1) = (-1)^(d|X|) R(A1, X)
-    return over(-total if (d * len(xs)) % 2 else total)
+    """`single_sum_at(a, b, d)` at xs."""
+    return single_sum_at(a, b, d)(xs)
 
 
-def exchange_rhs_eval(a: RootMultiset, b: RootMultiset, d: int,
-                      xs: Sequence) -> Fraction:
+def exchange_rhs_at(a: RootMultiset, b: RootMultiset,
+                    d: int) -> Callable[[Sequence], Fraction]:
     """Right-hand side of the exchange identity, summing over B instead.
 
     Each split B1 | B2 of B with |B1| = d contributes (-1)^(d(m-d))
-    R(X, B1) R(A, B2) / R(B1, B2), and R(A, B2) = (-1)^(m(n-d)) R(B2, A).
+    R(X, B1) R(A, B2) / R(B1, B2): as R(A, B2) = (-1)^(m(n-d)) R(B2, A),
+    a sign times the single sum over B.
     """
     _require_set(b, "B")
     m, n = a.size, b.size
@@ -474,30 +502,41 @@ def exchange_rhs_eval(a: RootMultiset, b: RootMultiset, d: int,
         raise DegreeWindow(f"d={d} is negative")
     if n < d:
         raise TooFewElements(f"|B|={n} below d={d}")
-    total = single_sum_eval(b, a, d, xs)
-    return -total if (d * (m - d) + m * (n - d)) % 2 else total
+    _, splits, at = _single_sum(b, a, d)
+    return _point_sum(splits, at, d, d * (m - d) + m * (n - d))
 
 
-def apery_jouanolou_rhs(a: RootMultiset, b: RootMultiset, d: int,
-                        e: RootMultiset, xs: Sequence) -> Fraction:
-    """Three-block sum over an auxiliary set E of sufficient size.
+def exchange_rhs_eval(a: RootMultiset, b: RootMultiset, d: int,
+                      xs: Sequence) -> Fraction:
+    """`exchange_rhs_at(a, b, d)` at xs."""
+    return exchange_rhs_at(a, b, d)(xs)
+
+
+def apery_jouanolou_rhs_at(a: RootMultiset, b: RootMultiset, d: int,
+                           e: RootMultiset,
+                           nx: int) -> Callable[[Sequence], Fraction]:
+    """Three-block sum over a large enough set E, as a function of nx points.
 
     Each split E1 | E2 | E3 with |E1| = d and |E2| = m - d contributes
     R(X, E1) R(E2, B) R(A, E3) / (R(E1, E2) R(E1, E3) R(E2, E3)).
     """
     _require_set(e, "E")
-    xs = [(qof(v), 1) for v in xs]
     m, n = a.size, b.size
-    bound = max(len(xs) + d, m + n - d, m)
+    bound = max(nx + d, m + n - d, m)
     if e.size < bound:
         raise CardinalityTooSmall(f"|E|={e.size} below required {bound}")
     if not 0 <= d <= m:
         raise DegreeWindow(f"d={d} outside 0..{m}")
-    _, splits, over = _split_sum(e.distinct_values(), (d, m - d, e.size - m),
-                                 (xs, b.entries, a.entries))
-    total = sum(weight for _, weight in splits)
-    # R(X, E1) R(A, E3) = (-1)^(d|X| + (|E|-m)m) R(E1, X) R(E3, A)
-    return over(-total if (d * len(xs) + (e.size - m) * m) % 2 else total)
+    _, splits, at = _split_sum(e.distinct_values(), (d, m - d, e.size - m),
+                               (b.entries, a.entries))
+    # R(A, E3) = (-1)^((|E|-m)m) R(E3, A)
+    return _point_sum(splits, at, d, (e.size - m) * m, nx)
+
+
+def apery_jouanolou_rhs(a: RootMultiset, b: RootMultiset, d: int,
+                        e: RootMultiset, xs: Sequence) -> Fraction:
+    """`apery_jouanolou_rhs_at(a, b, d, e, len(xs))` at xs."""
+    return apery_jouanolou_rhs_at(a, b, d, e, len(xs))(xs)
 
 
 def sym_interp_eval(e: RootMultiset, d: int,
@@ -512,13 +551,13 @@ def sym_interp_eval(e: RootMultiset, d: int,
     size = e.size
     if not 0 <= d < size:
         raise DegreeWindow(f"d={d} outside 0..{size - 1}")
-    xs = [(qof(v), 1) for v in xs]
+    evals = e.distinct_values()
+    _, splits, at = _split_sum(evals, (d, size - d), ((),))
+    rx, over = at(xs)
     if len(xs) != size - d:
         raise ArityMismatch(f"need {size - d} values, got {len(xs)}")
-    evals = e.distinct_values()
-    _, splits, over = _split_sum(evals, (d, size - d), (xs, ()))
-    total = Fraction(0)
-    for (_, rest), weight in splits:
-        total += qof(h(tuple(evals[i] for i in rest))) * weight
+    total = sum((qof(h(tuple(evals[i] for i in rest))) * weight
+                 * prod(rx[i] for i in e1) for e1, rest, weight in splits),
+                Fraction(0))
     # R(X, E') / R(E - E', E') = R(E', X) / R(E', E - E') as |X| = |E - E'|
     return total * over(1)

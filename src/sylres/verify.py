@@ -26,8 +26,8 @@ from .poly import Poly
 from .rationals import qof
 from .rootsets import RootMultiset, rprod
 from .schur import schur_consistency_check
-from .sylvester import (apery_jouanolou_rhs, exchange_rhs_eval,
-                        single_sum_eval, sres_det, syl_double, syl_single,
+from .sylvester import (apery_jouanolou_rhs_at, exchange_rhs_at,
+                        single_sum_at, sres_det, syl_double, syl_single,
                         sylm, sylm_terms, sym_interp_eval)
 
 import random
@@ -40,10 +40,10 @@ class FuzzConfig:
 
     A negative count, or a degree or bound below 1, is refused here with
     ValidationError. `_sample_distinct` refuses more distinct values than
-    the bound admits, `lemma24` a max degree outside 3..12, and `run_suite`
-    a thm14 run of 8 or more instances with a max degree below 2. No check
-    draws a number, so a config that can be met draws the same instances
-    whether or not the checks run.
+    the bound admits, `lemma24` a max degree outside 3..12, `eq1`-`eq3`
+    one above 10, and `run_suite` a thm14 run of 8 or more instances with
+    a max degree below 2. No check draws a number, so a config that can be
+    met draws the same instances whether or not the checks run.
     """
 
     seed: int = 0
@@ -238,12 +238,25 @@ def _gen_thm14(cfg: FuzzConfig):
         yield {"a": a.to_shorthand(), "b": b.to_shorthand()}
 
 
+# eq1 replays syl_double at every (d, p): 3.1 s at |A| = |B| = 10, and
+# about four times as long per further root of each
+_SETS_MAX_SIZE = 10
+
+
+def _check_sets_size(a: RootMultiset, b: RootMultiset) -> None:
+    if max(a.size, b.size) > _SETS_MAX_SIZE:
+        raise ValidationError(f"eq1-eq3 need |A|, |B| <= {_SETS_MAX_SIZE}; "
+                              f"got |A|={a.size}, |B|={b.size}")
+
+
 def _check_sres(inst: dict, by_sylm: bool) -> dict:
     """Sres_d against (-1)^(d(m-d)) times sylm (thm14, which also names
     the regimes the checked ds reached) or the single sum (eq3), at every
     admissible d."""
     a, b = inst["a"], inst["b"]
     m = a.size
+    if not by_sylm:
+        _check_sets_size(a, b)
     f, g = Poly.from_roots(a.values()), Poly.from_roots(b.values())
     side, key = ((sylm, "sylm_signed") if by_sylm
                  else (syl_single, "single_signed"))
@@ -287,9 +300,7 @@ def _check_thm12(inst: dict) -> dict:
     nonempty = [t for t in terms if any(t.partition.blocks)]
     if nonempty:
         return {"ok": False, "why": "non-empty partition in collapsed regime"}
-    value = Poly.zero()
-    for t in terms:
-        value = value + t.value
+    value = sum((t.value for t in terms), Poly.zero())
     independent = _collapsed_double_sum(a, b, d)
     if value != independent:
         return {"ok": False, "sylm": value.to_json(),
@@ -298,6 +309,9 @@ def _check_thm12(inst: dict) -> dict:
 
 
 def _gen_sets(cfg: FuzzConfig):
+    if cfg.max_deg > _SETS_MAX_SIZE:
+        raise ValidationError(f"eq1-eq3 need max degree <= {_SETS_MAX_SIZE}"
+                              f", got {cfg.max_deg}")
     rng = random.Random(cfg.seed)
     for _ in range(cfg.count):
         a, b = _rand_set_pair(rng, cfg)
@@ -308,10 +322,10 @@ def _check_double(inst: dict, by_sres: bool) -> dict:
     """Each double sum with p + q = d against C(d, p) times, up to sign,
     Sres_d (eq1, sign exponent p) or the single sum (eq2, exponent q)."""
     a, b = inst["a"], inst["b"]
+    _check_sets_size(a, b)
     m, n = a.size, b.size
     if by_sres:
-        f = Poly.from_roots(a.values())
-        g = Poly.from_roots(b.values())
+        f, g = Poly.from_roots(a.values()), Poly.from_roots(b.values())
     for d in _valid_ds(m, n):
         ref = sres_det(f, g, d) if by_sres else syl_single(a, b, d)
         for p in range(0, min(d, m) + 1):
@@ -376,11 +390,10 @@ def _check_lemma24(inst: dict) -> dict:
             f"lemma24 needs nx <= m+n-2d, and |B| < d <= |A| in part 2; "
             f"got |A|={m}, |B|={n}, d={d}, nx={nx}")
     avoid = a.distinct_values() + b.distinct_values()
-    rhs = ((lambda *xs: exchange_rhs_eval(a, b, d, xs)) if inst["part"] == 1
-           else (lambda *xs: Fraction(0)))
-    ok = grid_check_identity(lambda *xs: single_sum_eval(a, b, d, xs),
-                             rhs, nx, d, avoid)
-    return {"ok": ok}
+    lhs = single_sum_at(a, b, d)
+    rhs = exchange_rhs_at(a, b, d) if inst["part"] == 1 else lambda xs: 0
+    return {"ok": grid_check_identity(lambda *xs: lhs(xs),
+                                      lambda *xs: rhs(xs), nx, d, avoid)}
 
 
 # prop21 draws m + n at most this, so d <= m < this, and |E| at most 2
@@ -414,11 +427,9 @@ def _check_prop21(inst: dict) -> dict:
             f"prop21 needs |A|+|B| <= {_PROP21_MAX_TOTAL} and |E| <= {cap},"
             f" got |A|+|B|={m + n}, |E|={e.size}")
     avoid = a.distinct_values() + b.distinct_values() + e.distinct_values()
-    ok = grid_check_identity(
-        lambda *xs: single_sum_eval(a, b, d, xs),
-        lambda *xs: apery_jouanolou_rhs(a, b, d, e, xs),
-        nx, d, avoid)
-    return {"ok": ok}
+    lhs, rhs = single_sum_at(a, b, d), apery_jouanolou_rhs_at(a, b, d, e, nx)
+    return {"ok": grid_check_identity(lambda *xs: lhs(xs),
+                                      lambda *xs: rhs(xs), nx, d, avoid)}
 
 
 def _symmetric_pool(d: int, nvars: int):

@@ -323,6 +323,8 @@ class TestVerify:
         # a single sum over the C(30, 15) subsets of A
         ("lemma24", {"part": 1, "a": _ints(1, 31), "b": _ints(31, 61),
                      "d": 15, "nx": 0}),
+        # double sums of two 14-root sets at every (d, p)
+        ("eq1", {"a": _ints(1, 15), "b": _ints(21, 35)}),
     ])
     def test_replay_past_cost_cap(self, tmp_path, suite, inst):
         # each is refused up front, well inside the timeout, instead of
@@ -371,8 +373,9 @@ class TestUnmeetableFuzzConfig:
         ["fuzz", "--count", "1", "--max-deg", "1"],
         # 8 or more thm14 instances must reach a repeated root
         ["verify", "thm14", "--max-deg", "1", "--count", "8"],
-        # past the size cap of lemma24's single sums
+        # past the size caps of lemma24's single sums and eq1's double sums
         ["verify", "lemma24", "--max-deg", "13"],
+        ["verify", "eq1", "--max-deg", "11"],
     ])
     def test_exits_2(self, argv):
         out = run_subprocess(*argv)

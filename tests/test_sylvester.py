@@ -12,7 +12,8 @@ from sylres.poly import Poly
 from sylres.rootsets import RootMultiset, rprod, rprod_vals
 from sylres.schur import SchurSpec, schur_poly_x, schur_value
 from sylres.sylvester import (SylmTerm, _base_table, apery_jouanolou_rhs,
-                              exchange_rhs_eval,
+                              apery_jouanolou_rhs_at, exchange_rhs_at,
+                              exchange_rhs_eval, single_sum_at,
                               single_sum_eval, sres_det, syl_double,
                               syl_single, sylm, sylm_terms, sym_interp_eval)
 from sylres.verify import _symmetric_pool
@@ -586,6 +587,83 @@ def test_apery_jouanolou_matches_reference(data):
     for d in range(m + 1):
         assert (apery_jouanolou_rhs(a, b, d, e, xs)
                 == ref_apery_jouanolou_rhs(a, b, d, e, xs))
+
+
+@st.composite
+def prepared_case(draw):
+    """(a set S, a multiset M sharing values with S, a set E large enough
+    for the three-block sum over S and M, d, nx, grid points of arity nx).
+
+    The points have denominators up to 97, hit values of S, M and E, and
+    the first one comes again last."""
+    s, multi, _ = draw(set_and_multiset(max_set=3, max_multi=3))
+    m, n = s.size, multi.size
+    d = draw(st.integers(0, m))
+    nx = draw(st.integers(0, 2))
+    size = max(nx + d, m + n - d, m) + draw(st.integers(0, 1))
+    e = sets(*distinct(draw, size, s.distinct_values()
+                       + multi.distinct_values()))
+    hit = s.distinct_values() + multi.distinct_values() + e.distinct_values()
+    point = st.lists(pool(hit), min_size=nx, max_size=nx).map(tuple)
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    return s, multi, e, d, nx, points + points[:1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(prepared_case())
+@example((sets(F(1, 2), 3), RM((F(1, 2), 2), (F(5, 3), 1)),
+          sets(F(7, 4), -1, F(2, 3), 4), 1, 2,
+          [(F(1, 2), F(7, 4)), (F(5, 3), F(5, 3)), (F(1, 3), F(2, 7)),
+           (F(1, 2), F(7, 4))]))
+def test_prepared_evaluators_match_reference(case):
+    # one evaluator per record serves every point, in any order
+    s, multi, e, d, nx, points = case
+    pairs = [
+        (single_sum_at(s, multi, d),
+         lambda xs: ref_single_sum_eval(s, multi, d, xs)),
+        (exchange_rhs_at(multi, s, d),
+         lambda xs: ref_exchange_rhs_eval(multi, s, d, xs)),
+        (apery_jouanolou_rhs_at(s, multi, d, e, nx),
+         lambda xs: ref_apery_jouanolou_rhs(s, multi, d, e, xs)),
+    ]
+    for evaluate, ref in pairs:
+        want = [ref(xs) for xs in points]
+        assert [evaluate(xs) for xs in points] == want
+        assert [evaluate(xs) for xs in reversed(points)] == want[::-1]
+
+
+class TestPreparedEvaluatorErrors:
+    def test_apery_arity(self):
+        evaluate = apery_jouanolou_rhs_at(sets(1, 2), sets(3), 1,
+                                          sets(4, 5, 6), 1)
+        assert evaluate((F(0),)) == apery_jouanolou_rhs(
+            sets(1, 2), sets(3), 1, sets(4, 5, 6), (F(0),))
+        for xs in ((), (F(0), F(1))):
+            with pytest.raises(ArityMismatch):
+                evaluate(xs)
+
+    def test_cardinality_before_degree_window(self):
+        # |E| = 1 is too small and d = 3 > |A|: the |E| bound comes first
+        for call in (
+                lambda: apery_jouanolou_rhs_at(sets(1, 2), sets(3), 3,
+                                               sets(4), 1),
+                lambda: apery_jouanolou_rhs(sets(1, 2), sets(3), 3,
+                                            sets(4), (F(0),))):
+            with pytest.raises(CardinalityTooSmall):
+                call()
+
+    def test_multiplicity_before_degree_window(self):
+        # B is not a set and d < 0: the set check comes first
+        with pytest.raises(MultiplicityNotOne):
+            exchange_rhs_at(sets(1, 2), RM((3, 2)), -1)
+        with pytest.raises(MultiplicityNotOne):
+            exchange_rhs_eval(sets(1, 2), RM((3, 2)), -1, ())
+        with pytest.raises(MultiplicityNotOne):
+            single_sum_at(RM((1, 2)), sets(3), 5)
+
+    def test_too_few_before_evaluation(self):
+        with pytest.raises(TooFewElements):
+            exchange_rhs_at(sets(1, 2), sets(3), 2)
 
 
 @settings(max_examples=30, deadline=None)
