@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: sres, syl-single, syl-double, sylm, schur, verify, fuzz.
+Subcommands: sres, syl-single, syl-double, sylm, schur, and verify, also
+named fuzz, whose suite defaults to all. Each subparser sets its handler.
 Exit codes: 0 success / all properties pass, 1 at least one property
 failure, 2 usage or parse error. Output is human-readable by default;
 --json switches to the structured wire formats.
@@ -21,20 +22,12 @@ from .sylvester import sres_det, syl_double, syl_single, sylm, sylm_terms
 from .verify import SUITE_NAMES, FuzzConfig, replay, run_suite
 
 
-def _poly_or_roots(text: str) -> Poly:
-    """A polynomial argument: coefficient JSON/list, or roots shorthand."""
-    s = text.strip()
-    if s.startswith("{") and "roots" not in s:
-        return parse_poly(s)
-    if s.startswith("roots:"):
-        return Poly.from_roots(parse_multiset(s[len("roots:"):]).values())
-    return parse_poly(s)
+def _emit(render: Callable[[], str]) -> int:
+    """Print render() and return 0, the exit code of a printed result.
 
-
-def _emit(render: Callable[[], str]) -> None:
-    """Print render(). The interpreter's int-to-str digit limit guards the
-    parsing of input literals; exact results may pass it, so it is lifted
-    while they are rendered."""
+    The interpreter's int-to-str digit limit guards the parsing of input
+    literals; exact results may pass it, so it is lifted while they are
+    rendered."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -43,16 +36,11 @@ def _emit(render: Callable[[], str]) -> None:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    return 0
 
 
-def _emit_poly(p: Poly, as_json: bool) -> None:
-    _emit(lambda: json.dumps(p.to_json()) if as_json else str(p))
-
-
-def _fuzz_config(args) -> FuzzConfig:
-    return FuzzConfig(seed=args.seed, count=args.count,
-                      max_deg=args.max_deg, coeff_bound=args.coeff_bound,
-                      allow_shared_roots=not args.no_shared_roots)
+def _emit_poly(p: Poly, as_json: bool) -> int:
+    return _emit(lambda: json.dumps(p.to_json()) if as_json else str(p))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,17 +56,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help='poly: coeff list "2,-3,1", coeff JSON, or roots:...')
     p.add_argument("-g", required=True)
     p.add_argument("-d", type=int, required=True)
+    p.set_defaults(run=_cmd_sres)
 
     p = sub.add_parser("syl-single", help="Sylvester single sum (A a set)")
     p.add_argument("-a", required=True, help="multiset shorthand or JSON")
     p.add_argument("-b", required=True)
     p.add_argument("-d", type=int, required=True)
+    p.set_defaults(run=_cmd_syl_single)
 
     p = sub.add_parser("syl-double", help="Sylvester double sum (sets)")
     p.add_argument("-a", required=True)
     p.add_argument("-b", required=True)
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
+    p.set_defaults(run=_cmd_syl_double)
 
     p = sub.add_parser("sylm", help="multiset Sylvester sum")
     p.add_argument("-a", required=True)
@@ -89,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-bigd", action="store_true",
                    help="apply the collapsed two-index formula outside its "
                         "range (debug; no correctness claim)")
+    p.set_defaults(run=_cmd_sylm)
 
     p = sub.add_parser("schur", help="confluent Schur polynomial value")
     p.add_argument("-k", type=int, required=True)
@@ -96,24 +88,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="multiset shorthand")
     p.add_argument("--with-x", action="store_true",
                    help="adjoin one symbolic point; prints a polynomial")
+    p.set_defaults(run=_cmd_schur)
 
-    p = sub.add_parser("verify", help="run an identity-verification suite")
-    p.add_argument("suite", choices=sorted(SUITE_NAMES) + ["all"])
-    _add_fuzz_args(p)
-    p.add_argument("--replay", metavar="FILE",
-                   help="re-run one recorded failure instance from FILE")
-
-    p = sub.add_parser("fuzz", help="run all randomized suites")
-    _add_fuzz_args(p)
-    return top
-
-
-def _add_fuzz_args(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("verify", aliases=["fuzz"],
+                       help="run an identity-verification suite, "
+                            "by default all of them")
+    p.add_argument("suite", nargs="?", default="all",
+                   choices=sorted(SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--max-deg", type=int, default=6)
     p.add_argument("--coeff-bound", type=int, default=8)
     p.add_argument("--no-shared-roots", action="store_true")
+    p.add_argument("--replay", metavar="FILE",
+                   help="re-run one recorded failure instance from FILE")
+    p.set_defaults(run=_cmd_verify)
+    return top
+
+
+def _cmd_sres(args) -> int:
+    return _emit_poly(sres_det(parse_poly(args.f), parse_poly(args.g),
+                               args.d), args.json)
+
+
+def _cmd_syl_single(args) -> int:
+    return _emit_poly(syl_single(parse_multiset(args.a),
+                                 parse_multiset(args.b), args.d), args.json)
+
+
+def _cmd_syl_double(args) -> int:
+    return _emit_poly(syl_double(parse_multiset(args.a),
+                                 parse_multiset(args.b), args.p, args.q),
+                      args.json)
 
 
 def _cmd_sylm(args) -> int:
@@ -122,14 +128,10 @@ def _cmd_sylm(args) -> int:
     if args.trace:
         terms = list(sylm_terms(a, b, args.d,
                                 force_collapsed=args.force_bigd))
-        total = Poly.zero()
-        for t in terms:
-            total = total + t.value
-        _emit(lambda: _render_trace(terms, total, args.json))
-        return 0
-    _emit_poly(sylm(a, b, args.d, force_collapsed=args.force_bigd),
-               args.json)
-    return 0
+        total = sum((t.value for t in terms), Poly.zero())
+        return _emit(lambda: _render_trace(terms, total, args.json))
+    return _emit_poly(sylm(a, b, args.d, force_collapsed=args.force_bigd),
+                      args.json)
 
 
 def _render_trace(terms, total: Poly, as_json: bool) -> str:
@@ -160,12 +162,10 @@ def _cmd_schur(args) -> int:
     removed = parse_index_set(args.R)
     spec = SchurSpec(args.k, removed, points, with_x=args.with_x)
     if args.with_x:
-        _emit_poly(schur_poly_x(spec), args.json)
-    else:
-        value = schur_value(spec)
-        _emit(lambda: json.dumps({"value": str(value)})
-              if args.json else str(value))
-    return 0
+        return _emit_poly(schur_poly_x(spec), args.json)
+    value = schur_value(spec)
+    return _emit(lambda: json.dumps({"value": str(value)})
+                 if args.json else str(value))
 
 
 def _load_replay(path: str) -> dict:
@@ -195,48 +195,23 @@ def _cmd_verify(args) -> int:
               else f"replay {suite}: {'PASS' if result.get('ok') else 'FAIL'}"
                    f" {json.dumps(result, sort_keys=True)}")
         return 0 if result.get("ok") else 1
-    cfg = _fuzz_config(args)
+    cfg = FuzzConfig(seed=args.seed, count=args.count,
+                     max_deg=args.max_deg, coeff_bound=args.coeff_bound,
+                     allow_shared_roots=not args.no_shared_roots)
     names = sorted(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    return _run_suites(names, cfg, args.json)
-
-
-def _run_suites(names, cfg: FuzzConfig, as_json: bool) -> int:
     reports = [run_suite(name, cfg) for name in names]
     _emit(lambda: json.dumps([r.to_json() for r in reports], sort_keys=True)
-          if as_json else "\n".join(r.human() for r in reports))
+          if args.json else "\n".join(r.human() for r in reports))
     return 0 if all(r.ok for r in reports) else 1
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "sres":
-            _emit_poly(sres_det(_poly_or_roots(args.f),
-                                _poly_or_roots(args.g), args.d), args.json)
-            return 0
-        if args.command == "syl-single":
-            _emit_poly(syl_single(parse_multiset(args.a),
-                                  parse_multiset(args.b), args.d), args.json)
-            return 0
-        if args.command == "syl-double":
-            _emit_poly(syl_double(parse_multiset(args.a),
-                                  parse_multiset(args.b),
-                                  args.p, args.q), args.json)
-            return 0
-        if args.command == "sylm":
-            return _cmd_sylm(args)
-        if args.command == "schur":
-            return _cmd_schur(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "fuzz":
-            return _run_suites(sorted(SUITE_NAMES), _fuzz_config(args),
-                               args.json)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except SylresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

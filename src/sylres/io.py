@@ -1,9 +1,11 @@
 """Text and JSON input handling for the CLI.
 
 Multiset shorthand: "1:2,3/2:1" means root 1 with multiplicity 2 and root
-3/2 simple; a bare value means multiplicity 1. JSON forms follow the wire
-schemas of the poly and rootsets modules. Everything is canonicalized on
-parse (sorted values, merged multiplicities, reduced rationals).
+3/2 simple; a bare value means multiplicity 1. A polynomial is a comma list
+of ascending coefficients, or "roots:" and a multiset for the monic
+polynomial with those roots. JSON forms follow the wire schemas of the poly
+and rootsets modules, which refuse JSON true and false as values. All input
+is canonicalized (sorted values, merged multiplicities, reduced rationals).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ def parse_multiset(text: str) -> RootMultiset:
 
 def parse_poly(text: str) -> Poly:
     s = text.strip()
+    if s.startswith("roots:"):
+        return Poly.from_roots(parse_multiset(s[len("roots:"):]).values())
     if s.startswith("{"):
         return Poly.from_json(_load_json(s))
     # comma list of ascending coefficients

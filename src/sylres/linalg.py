@@ -5,11 +5,11 @@ fraction-free elimination with row pivoting (Bareiss, Math. Comp. 22,
 1968). Its general entry is `det_z_bordered`: for n integer rows of width
 w >= n, it eliminates the first n-1 columns once and returns the w-n+1
 determinants of those columns bordered by each later column. `det_z` is
-the square case of one border. `det_q` eliminates a square rational matrix
-after each row is scaled to integers by the least common multiple of its
-denominators, and so does `det_p`. `det_p` admits one column of
-polynomials: it moves that column last and spreads it into one column per
-coefficient, so the bordered determinants are the coefficients of the
+the square case of one border. `det_q` and `det_p` scale each row to
+integers by the least common multiple of its denominators; `det_q` is then
+`det_z` over the product of those multipliers. `det_p` admits one column
+of polynomials: it moves that column last and spreads it into one column
+per coefficient, so the bordered determinants are the coefficients of the
 determinant. Its only library caller is the reference ratio of
 `schur-consistency`; `sres_det` builds its integer rows itself and calls
 `det_z_bordered`. Matrices are plain sequences of rows. Row indices are
@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 from .errors import (IndexOutOfRange, MultiplePolyColumns, NotSquare,
                      NotSquareAfterRemoval, TooManyColumns)
 from .poly import Poly
-from .rationals import Q0, Q1
+from .rationals import Q0
 from .rootsets import RootMultiset
 
 
@@ -116,12 +116,8 @@ def det_z(rows: Sequence[Sequence[int]]) -> int:
 def det_q(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square matrix of rationals (or integers),
     given as its rows."""
-    n = _check_square(rows)
-    if n == 0:
-        return Q1
     a, scale = _integer_rows(rows)
-    last, sign = _bareiss(a, n - 1)
-    return Fraction(sign * last[-1], scale)
+    return Fraction(det_z(a), scale)
 
 
 def det_p(rows: Sequence[Sequence[Poly]]) -> Poly:

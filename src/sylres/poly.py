@@ -205,6 +205,10 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":
-        if not isinstance(obj, dict) or "coeffs" not in obj:
+        coeffs = obj.get("coeffs") if isinstance(obj, dict) else None
+        if not isinstance(coeffs, list):
             raise ValidationError('polynomial JSON must be {"coeffs": [...]}')
-        return cls(obj["coeffs"])
+        # JSON true and false would otherwise read as 1 and 0
+        if any(isinstance(c, bool) for c in coeffs):
+            raise ValidationError("coefficients must be rational, not boolean")
+        return cls(coeffs)

@@ -2,8 +2,10 @@
 
 The ground field is the rationals, represented by ``fractions.Fraction``
 (arbitrary precision, always in lowest terms with positive denominator).
-Everything downstream goes through this module so a different exact field
-could be substituted in one place.
+Polynomials, multisets and parsed input coerce their values here. The
+integer kernels of `linalg`, `schur` and `sylvester` do not: they scale
+values to integers by a common denominator and build Fractions themselves,
+so the field is the rationals throughout.
 """
 
 from __future__ import annotations

@@ -119,6 +119,9 @@ class RootMultiset:
         for item in obj["roots"]:
             if not isinstance(item, dict) or "value" not in item:
                 raise ValidationError("each root needs a value")
+            if isinstance(item["value"], bool):
+                raise ValidationError(
+                    "root values must be rational, not boolean")
             mult = item.get("mult", 1)
             if not isinstance(mult, int) or isinstance(mult, bool):
                 raise ValidationError(

@@ -553,11 +553,7 @@ def sym_interp_eval(e: RootMultiset, d: int,
         raise DegreeWindow(f"d={d} outside 0..{size - 1}")
     evals = e.distinct_values()
     _, splits, at = _split_sum(evals, (d, size - d), ((),))
-    rx, over = at(xs)
-    if len(xs) != size - d:
-        raise ArityMismatch(f"need {size - d} values, got {len(xs)}")
-    total = sum((qof(h(tuple(evals[i] for i in rest))) * weight
-                 * prod(rx[i] for i in e1) for e1, rest, weight in splits),
-                Fraction(0))
-    # R(X, E') / R(E - E', E') = R(E', X) / R(E', E - E') as |X| = |E - E'|
-    return total * over(1)
+    weighted = [(e1, rest, weight * qof(h(tuple(evals[i] for i in rest))))
+                for e1, rest, weight in splits]
+    # R(E - E', E') = (-1)^(d(|E|-d)) R(E', E - E')
+    return _point_sum(weighted, at, d, d * (size - d), size - d)(xs)

@@ -546,6 +546,10 @@ def _gen_examples(cfg: FuzzConfig):
 
 def _check_examples(inst: dict) -> dict:
     a1, a2, b1 = inst["alpha1"], inst["alpha2"], inst["beta1"]
+    # the worked examples' hypothesis, which _gen_examples draws
+    if len({a1, a2, b1}) < 3:
+        raise ValidationError(f"examples needs three distinct values, "
+                              f"got {a1}, {a2}, {b1}")
     a = RootMultiset([(a1, 1), (a2, 2)])
     f = Poly.from_roots(a.values())
     # large-d case: g = (x - b1)^2, d = 2 -> SylM equals g exactly

@@ -203,6 +203,39 @@ class TestParseErrors:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("coeffs", ['5', 'null', '"12"'])
+    def test_coeffs_not_a_list(self, capsys, coeffs):
+        # a number or null used to raise TypeError (exit 1), and a string
+        # was read digit by digit as coefficients
+        rc, out, err = run(capsys, "sres", "-f", f'{{"coeffs": {coeffs}}}',
+                           "-g", "1,1", "-d", "0")
+        assert rc == 2
+        assert out == ""
+        assert err == 'error: polynomial JSON must be {"coeffs": [...]}\n'
+
+    @pytest.mark.parametrize("argv", [
+        ["sylm", "-a", '{"roots": [{"value": true}]}', "-b", "3", "-d", "0"],
+        ["sylm", "-a", '{"roots": [{"value": false, "mult": 2}]}',
+         "-b", "3", "-d", "0"],
+        ["sres", "-f", '{"coeffs": [true, 1]}', "-g", "1,1", "-d", "0"],
+        ["sres", "-f", '{"coeffs": [1, false]}', "-g", "1,1", "-d", "0"],
+    ])
+    def test_json_boolean_refused(self, capsys, argv):
+        # JSON true and false are not read as the rationals 1 and 0
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "not boolean" in err
+
+    def test_json_integers_and_strings_accepted(self, capsys):
+        rc, out, _ = run(capsys, "sylm", "-a",
+                         '{"roots": [{"value": 1}, {"value": "-1/2"}]}',
+                         "-b", "3", "-d", "0")
+        assert (rc, out) == (0, "7\n")
+        rc, out, _ = run(capsys, "sres", "-f", '{"coeffs": [-2, "1"]}',
+                         "-g", "roots:1,3", "-d", "0")
+        assert (rc, out) == (0, "-1\n")
+
     def test_repeated_value_merges(self, capsys):
         # 2:1,2:1 is the same multiset as 2:2
         rc, out, _ = run(capsys, "sylm", "-a", "0:1,1:2",
@@ -268,6 +301,14 @@ class TestVerify:
         ' "d": 2, "nx": 1}}',
         '{"suite": "lemma24", "instance": {"part": 2, "a": "1,2", "b": "3,4",'
         ' "d": 1, "nx": 0}}',
+        # the worked examples need three distinct values; with beta1 equal
+        # to alpha2 the forced value of the negative case is correct
+        '{"suite": "examples", "instance": {"alpha1": "1", "alpha2": "2",'
+        ' "beta1": "2"}}',
+        '{"suite": "examples", "instance": {"alpha1": "1", "alpha2": "1",'
+        ' "beta1": "2"}}',
+        '{"suite": "examples", "instance": {"alpha1": "1", "alpha2": "2",'
+        ' "beta1": "1"}}',
     ])
     def test_replay_bad_record(self, capsys, tmp_path, content):
         path = tmp_path / "inst.json"
@@ -350,6 +391,34 @@ class TestVerify:
         # schur-consistency records may omit with_x, which defaults to False
         assert replay("schur-consistency",
                       {"k": 3, "removed": [2], "points": "2,5"})["ok"]
+
+    def test_no_suite_and_fuzz_run_all(self, capsys):
+        # fuzz names verify, whose suite defaults to all
+        outputs = []
+        for argv in (["verify", "all"], ["verify"], ["fuzz"]):
+            rc, out, err = run(capsys, "--json", *argv, "--count", "2",
+                               "--seed", "5")
+            reports = json.loads(out)
+            for report in reports:
+                report.pop("wall_time")
+            outputs.append((rc, reports, err))
+        assert [r["suite"] for r in outputs[0][1]] == sorted(SUITE_NAMES)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("name", ["thm14", "thm12"])
+    def test_no_shared_roots(self, name):
+        def shared(cfg):
+            pairs = (decode_instance(name, inst)
+                     for inst in _SUITES[name][0](cfg))
+            return [p for p in pairs
+                    if set(p["a"].distinct_values())
+                    & set(p["b"].distinct_values())]
+
+        # the default draws shared roots, --no-shared-roots none
+        assert shared(FuzzConfig(seed=1, count=100))
+        for seed in range(5):
+            assert shared(FuzzConfig(seed=seed, count=100,
+                                     allow_shared_roots=False)) == []
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

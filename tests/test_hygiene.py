@@ -1,6 +1,8 @@
-"""Static checks on the library's sources."""
+"""Static checks on the library's sources, and on the library names that
+the benchmark's tracer binds."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -24,3 +26,23 @@ def test_every_import_is_read(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(set(_imported(tree)) - read) == []
+
+
+def test_benchmark_tracer_names_resolve():
+    # `perfbench/run.py --trace 1` wraps these by name; a library change
+    # that removes one would crash the benchmark's per-layer mode
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod, name in tracing.TRACED:
+        obj = importlib.import_module(f"sylres.{mod}")
+        for attr in name.split("."):
+            assert hasattr(obj, attr), f"sylres.{mod}.{name}"
+            obj = getattr(obj, attr)
+        assert callable(obj), f"sylres.{mod}.{name}"
+    owners = {name: mod for mod, name in tracing.TRACED}
+    for name in tracing.CACHED:
+        obj = getattr(importlib.import_module(f"sylres.{owners[name]}"), name)
+        assert hasattr(obj, "cache_info"), name
+    assert callable(importlib.import_module("sylres.sylvester").sylm_terms)
