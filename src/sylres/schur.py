@@ -19,9 +19,10 @@ lambda/mu is a horizontal strip, one integer sum over D^|mu| per
 coefficient.
 
 `schur_value` and `schur_poly_x` are cached entries to this kernel for one
-`SchurSpec`. `sylm` calls the kernel functions themselves (`elementary`,
-`removal_partition`, `schur_scaled`, `schur_scaled_x`) once per factor
-at the loop level that fixes its removed rows.
+`SchurSpec`, and make its integers Fractions. `sylm` calls the integer
+functions themselves (`elementary`, `removal_partition`, `jacobi_trudi`,
+`strip_sums`) once per factor at the loop level that fixes its removed rows,
+and keeps each factor an integer over its power of D.
 
 The determinant ratio itself is `schur_vandermonde_ratio`, the reference of
 `schur_consistency_check`. With the symbolic point it is an exact polynomial
@@ -95,28 +96,20 @@ def jacobi_trudi(lam: Sequence[int], e: Sequence[int]) -> int:
     return det_z(rows)
 
 
-def schur_scaled(lam: Sequence[int], e: Sequence[int], den: int) -> Fraction:
-    """s_lambda(X), given the e_j of the scaled points w = den X.
+def strip_sums(lam: Sequence[int], e: Sequence[int]) -> List[int]:
+    """The integers S_t, t = 0..|lambda|, with s_lambda(X + x) = sum of
+    S_t x^t / den^(|lambda| - t), given the e_j of the scaled points
+    w = den X.
 
-    s_lambda is homogeneous of degree |lambda|, so the determinant on the
-    e_j(w) = den^j e_j(X) is den^|lambda| times the value.
-    """
-    return Fraction(jacobi_trudi(lam, e), den ** sum(lam))
-
-
-def schur_scaled_x(lam: Sequence[int], e: Sequence[int], den: int) -> Poly:
-    """s_lambda(X + x), given the e_j of the scaled points w = den X.
-
-    The coefficient of x^(|lambda| - t) sums s_mu(X) over the mu of size t
-    that make lambda/mu a horizontal strip: one Fraction over den^t.
+    S_t sums the Jacobi-Trudi integers of the mu of size |lambda| - t that
+    make lambda/mu a horizontal strip.
     """
     size = sum(lam)
     sums = [0] * (size + 1)
     strips = [range(lam[j + 1], lam[j] + 1) for j in range(len(lam) - 1)]
     for mu in product(*strips):
-        sums[sum(mu)] += jacobi_trudi(mu, e)
-    return Poly(Fraction(sums[size - k], den ** (size - k))
-                for k in range(size + 1))
+        sums[size - sum(mu)] += jacobi_trudi(mu, e)
+    return sums
 
 
 def _scaled_points(points: RootMultiset) -> Tuple[List[int], int]:
@@ -137,8 +130,8 @@ def schur_value(spec: SchurSpec) -> Fraction:
             return Q1  # empty-determinant convention
         raise EmptyPoints("no points: denominator Vandermonde is undefined")
     w, den = _scaled_points(spec.points)
-    return schur_scaled(removal_partition(spec.k, spec.removed, r),
-                        elementary(w), den)
+    lam = removal_partition(spec.k, spec.removed, r)
+    return Fraction(jacobi_trudi(lam, elementary(w)), den ** sum(lam))
 
 
 @lru_cache(maxsize=SCHUR_CACHE_SIZE)
@@ -148,7 +141,9 @@ def schur_poly_x(spec: SchurSpec) -> Poly:
         raise ValueError("spec.with_x must be set")
     w, den = _scaled_points(spec.points)
     lam = removal_partition(spec.k, spec.removed, spec.points.size + 1)
-    return schur_scaled_x(lam, elementary(w), den)
+    size = sum(lam)
+    return Poly(Fraction(s, den ** (size - t))
+                for t, s in enumerate(strip_sums(lam, elementary(w))))
 
 
 def schur_vandermonde_ratio(spec: SchurSpec) -> Union[Fraction, Poly]:

@@ -17,8 +17,12 @@ so once per record.
 `sylm` takes its difference-product ratios and x-parts from `_base_table`, on
 the same kernel, and its confluent Schur factors from the integer
 Jacobi–Trudi kernel of `schur`, each computed once at the loop level of
-`_terms_general` that fixes its removed rows. The literal forms of these sums
-survive only as test references.
+`_integer_terms` that fixes its removed rows. Each factor is an integer over
+a known power of D, so coefficient j of a term is an integer times
+D^(exp + j) over the one V = vand(Ā) vand(B̄). `sylm` adds those integers
+per exp and builds one Fraction per output coefficient; `sylm_terms` builds
+each term's Fractions for the audit. The literal forms of these sums survive
+only as test references.
 """
 
 from __future__ import annotations
@@ -27,17 +31,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .combinatorics import IndexPartition, enum_splits, sigma_sign
+from .combinatorics import IndexPartition, binom, enum_splits, sigma_sign
 from .errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                      MultiplicityNotOne, TooFewElements)
 from .linalg import det_z_bordered
 from .poly import Poly, linear_product
 from .rationals import common_denominator, qof, scaled
 from .rootsets import RootMultiset
-from .schur import (elementary, removal_partition, schur_scaled,
-                    schur_scaled_x)
+from .schur import elementary, jacobi_trudi, removal_partition, strip_sums
 
 
 def check_degree_window(m: int, n: int, d: int) -> None:
@@ -301,15 +304,19 @@ class SylmTerm:
 
 
 def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
-                ) -> dict:
-    """The difference-product ratio and x-part common to both regimes.
+                ) -> tuple:
+    """The difference-product ratios and x-parts common to both regimes,
+    as integers: (table, exp, V, D).
 
-    Maps each pair of index tuples (A', B') of sizes (s_a, s_b) into the
-    distinct values of A and B to (R(A excess, B̄ - B') R(Ā - A', B - B')
-    / (R(A', Ā - A') R(B', B̄ - B')), R(x, A') R(x, B')), leaving out the
-    pairs whose numerator vanishes. It runs as an outer split of Ā and,
-    per A', an inner split of B̄ whose element factors are the numerator's
-    differences, so the pairs come in A'-outer lexicographic order.
+    D is the common denominator of Ā and B̄, and V = vand(Ā) vand(B̄) on
+    their values times D. The table maps each pair of index tuples (A', B')
+    of sizes (s_a, s_b) into the distinct values of A and B to (N, c):
+    R(A excess, B̄ - B') R(Ā - A', B - B') / (R(A', Ā - A') R(B', B̄ - B'))
+    is N D^exp / V, and the coefficient of x^i in R(x, A') R(x, B') is
+    c_i D^(i - s_a - s_b). It leaves out the pairs whose N vanishes. It
+    runs as an outer split of Ā and, per A', an inner split of B̄ whose
+    element factors are the numerator's differences, so the pairs come in
+    A'-outer lexicographic order.
     """
     avals, bvals = a.distinct_values(), b.distinct_values()
     mult_a = [mult for _, mult in a.entries]
@@ -326,7 +333,6 @@ def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
     # s_b(n̄ - s_b)
     exp = (s_a * (mbar - s_a) + s_b * (nbar - s_b)
            - (a.size - mbar) * (nbar - s_b) - (mbar - s_a) * (b.size - s_b))
-    vand = ta.vandermonde * tb.vandermonde
     table = {}
     for ap, a_rest, outer in ta.splits((s_a, mbar - s_a), (None, None)):
         rest = [prod(row[i] for i in a_rest) for row in cross]
@@ -334,102 +340,117 @@ def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
         out_bp = [e * r ** mb for e, r, mb in zip(excess, rest, mult_b)]
         ap_roots = [wa[i] for i in ap]
         for bp, _, weight in tb.splits((s_b, nbar - s_b), (in_bp, out_bp)):
-            # the coefficient of x^k is a product of s_a + s_b - k roots
-            xpart = linear_product(ap_roots + [wb[j] for j in bp])
-            table[ap, bp] = (
-                _over(weight * outer, vand, den, exp),
-                Poly(_over(c, 1, den, k - s_a - s_b)
-                     for k, c in enumerate(xpart)))
-    return table
+            # the coefficient of x^i is a product of s_a + s_b - i roots
+            table[ap, bp] = (weight * outer, linear_product(
+                ap_roots + [wb[j] for j in bp]))
+    return table, exp, ta.vandermonde * tb.vandermonde, den
 
 
-def _terms_collapsed(a: RootMultiset, b: RootMultiset,
-                     d: int) -> Iterator[SylmTerm]:
-    """Two-index sum for d >= m'+n' (all partition blocks empty)."""
-    m, mbar = a.size, a.distinct_count
-    mp = m - mbar
-    nbar = b.distinct_count
-    sign = -1 if (mp * (m - d)) % 2 else 1
-    s_a, s_b = d - mp, mp
-    empty = IndexPartition(0, ((), (), ()))
-    if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
-        return
-    avals, bvals = a.distinct_values(), b.distinct_values()
-    table = _base_table(a, b, s_a, s_b)
-    for (a_idx, b_idx), (ratio, xpart) in table.items():
-        yield SylmTerm(empty, tuple(avals[i] for i in a_idx),
-                       tuple(bvals[j] for j in b_idx), sign,
-                       xpart.scale(sign * ratio))
-
-
-def _terms_general(a: RootMultiset, b: RootMultiset,
-                   d: int) -> Iterator[SylmTerm]:
-    """Triple-partition sum with confluent Schur factors, for d < m'+n'.
-
-    A term's factors are s1 on A' + B' with the symbolic point, s2 on
-    (Ā - A') + B and s3 on A + (B̄ - B'), with the rows R1 (shifted), R2
-    and R3 removed. The subset sizes fix the pairs (A', B') and the
-    e-vectors of each factor's points, scaled by the common denominator D
-    of Ā and B̄; the R1 block fixes s1, times the x-part, per pair; the R2
-    block fixes s2 per A' and s3 per B'. Each runs once on the integer
-    Jacobi–Trudi kernel of `schur`, and the innermost loop only multiplies.
-    """
+def _size_triples(a: RootMultiset, b: RootMultiset, d: int,
+                  force_collapsed: bool) -> tuple:
+    """The R1 window, None in the collapsed regime (d >= m'+n' or forced),
+    and the sizes (r1, r2, r3, s_a, s_b) of R1, R2, R3, A' and B' that the
+    multiset sum runs over, in loop order."""
     m, n = a.size, b.size
+    check_degree_window(m, n, d)
     mbar, nbar = a.distinct_count, b.distinct_count
     mp, np_ = m - mbar, n - nbar
     r = mp + np_ - d
-    k = m + n - d
-    lo = m + n - 2 * d  # lowest index admitted into R1
-    window = tuple(i for i in range(max(lo, 1), r + 1))
-    r1_cap = max(0, d - (mbar + nbar) + 1)
+    window, sizes = None, [(0, 0, 0, d - mp, mp)]
+    if not (force_collapsed or r <= 0):
+        # from m+n-2d, which the degree window keeps >= 1
+        window, sizes = range(m + n - 2 * d, r + 1), []
+        for r1 in range(len(window) + 1):
+            for r2 in range(max(0, mp - d), min(m - d, r - r1) + 1):
+                r3 = r - r1 - r2
+                # each factor removes the rows its points leave over:
+                # r1 = d-s_a-s_b, r2 = m-d-(m̄-s_a) and r3 = n-d-(n̄-s_b)
+                if max(0, np_ - d) <= r3 <= n - d:
+                    sizes.append((r1, r2, r3, r2 + d - mp, r3 + d - np_))
+    return window, [t for t in sizes
+                    if 0 <= t[3] <= mbar and 0 <= t[4] <= nbar]
+
+
+def sylm_term_bound(a: RootMultiset, b: RootMultiset, d: int,
+                    force_collapsed: bool = False) -> int:
+    """The terms `sylm_terms` enumerates, at no cost per term: the sum of
+    C(|window|, r1) C(r2 + r3, r2) C(m̄, s_a) C(n̄, s_b) over the size
+    triples. The pairs whose ratio vanishes are not yielded."""
+    window, sizes = _size_triples(a, b, d, force_collapsed)
+    return sum(binom(len(window or ()), r1) * binom(r2 + r3, r2)
+               * binom(a.distinct_count, s_a) * binom(b.distinct_count, s_b)
+               for r1, r2, r3, s_a, s_b in sizes)
+
+
+def _convolve(p: Sequence[int], q: Sequence[int]) -> List[int]:
+    """The coefficients of the product of two integer polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, e in enumerate(q):
+            out[i + j] += c * e
+    return out
+
+
+def _integer_terms(a: RootMultiset, b: RootMultiset, d: int,
+                   force_collapsed: bool) -> Iterator[tuple]:
+    """(D, V) of `_base_table`, then the multiset sum's terms as integers.
+
+    A term (partition, A' idx, B' idx, sign, coeffs, exp) has the
+    coefficient coeffs[j] D^(exp + j) / V of x^j. Its factors: the ratio
+    N D^e / V, the x-part's c_i D^(i - s_a - s_b) and, in the general
+    regime, s1's S_t / D^(|λ1| - t) (`strip_sums`) and s2, s3 = J / D^|λ|
+    (`jacobi_trudi`), on A' + B' with the symbolic point, (Ā - A') + B and
+    A + (B̄ - B') less the rows R1 (shifted), R2 and R3. So coeffs is
+    sign N J2 J3 (c ⋆ S). The subset sizes fix the pairs and each factor's
+    e-vectors, the R1 block s1 per pair, and the R2 block s2 per A' and s3
+    per B': each is computed once.
+    """
+    m, n = a.size, b.size
+    mbar, nbar = a.distinct_count, b.distinct_count
+    window, sizes = _size_triples(a, b, d, force_collapsed)
     avals, bvals = a.distinct_values(), b.distinct_values()
     den = common_denominator(avals, bvals)
     wa, wb = scaled(avals, den), scaled(bvals, den)
+    yield den, prod(_DifferenceTable(w).vandermonde for w in (wa, wb))
     a_all, b_all = scaled(a.values(), den), scaled(b.values(), den)
-    for r1 in range(0, min(len(window), r1_cap) + 1):
-        for r2 in range(max(0, mp - d), min(m - d, r - r1) + 1):
-            r3 = r - r1 - r2
-            if not max(0, np_ - d) <= r3 <= n - d:
-                continue
-            # each factor removes the rows its points leave over:
-            # r1 = d-s_a-s_b, r2 = m-d-(m̄-s_a) and r3 = n-d-(n̄-s_b)
-            s_a = r2 + d - mp
-            s_b = r3 + d - np_
-            if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
-                continue
-            pairs = list(_base_table(a, b, s_a, s_b).items())
-            e1 = [elementary([wa[i] for i in a_idx] + [wb[j] for j in b_idx])
-                  for (a_idx, b_idx), _ in pairs]
-            e2 = {a_idx: elementary([w for i, w in enumerate(wa)
-                                     if i not in a_idx] + b_all)
-                  for a_idx in dict.fromkeys(a for (a, _), _ in pairs)}
-            e3 = {b_idx: elementary(a_all + [w for j, w in enumerate(wb)
-                                             if j not in b_idx])
-                  for b_idx in dict.fromkeys(b for (_, b), _ in pairs)}
-            a_primes = {a_idx: tuple(avals[i] for i in a_idx) for a_idx in e2}
-            b_primes = {b_idx: tuple(bvals[j] for j in b_idx) for b_idx in e3}
-            for r1_block in combinations(window, r1):
-                rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
-                r1_shift = tuple(i - (lo - 1) for i in r1_block)
-                # the points and x fill s_a + s_b + 1 rows
-                lam1 = removal_partition(d + 1, r1_shift, s_a + s_b + 1)
-                x1 = [xpart * schur_scaled_x(lam1, e, den)
-                      for (_, (_, xpart)), e in zip(pairs, e1)]
-                for r2_block in combinations(rest, r2):
-                    r3_block = tuple(i for i in rest if i not in r2_block)
-                    part = IndexPartition(r, (r1_block, r2_block, r3_block))
-                    sign = sigma_sign(m, n, mbar, nbar, d, part)
-                    lam2 = removal_partition(k, r2_block, mbar - s_a + n)
-                    lam3 = removal_partition(k, r3_block, m + nbar - s_b)
-                    s2 = {a_idx: schur_scaled(lam2, e, den)
-                          for a_idx, e in e2.items()}
-                    s3 = {b_idx: schur_scaled(lam3, e, den)
-                          for b_idx, e in e3.items()}
-                    for ((a_idx, b_idx), (ratio, _)), poly in zip(pairs, x1):
-                        value = poly.scale(
-                            sign * ratio * s2[a_idx] * s3[b_idx])
-                        yield SylmTerm(part, a_primes[a_idx],
-                                       b_primes[b_idx], sign, value)
+    for r1, r2, r3, s_a, s_b in sizes:
+        table, exp, _, _ = _base_table(a, b, s_a, s_b)
+        if window is None:
+            sign = -1 if ((m - mbar) * (m - d)) % 2 else 1
+            for (a_idx, b_idx), (num, xpart) in table.items():
+                yield (IndexPartition(0, ((), (), ())), a_idx, b_idx, sign,
+                       [sign * num * c for c in xpart], exp - s_a - s_b)
+            continue
+        pairs = list(table.items())
+        e1 = [elementary([wa[i] for i in a_idx] + [wb[j] for j in b_idx])
+              for (a_idx, b_idx), _ in pairs]
+        e2 = {a_idx: elementary([w for i, w in enumerate(wa)
+                                 if i not in a_idx] + b_all)
+              for a_idx in dict.fromkeys(a for (a, _), _ in pairs)}
+        e3 = {b_idx: elementary(a_all + [w for j, w in enumerate(wb)
+                                         if j not in b_idx])
+              for b_idx in dict.fromkeys(b for (_, b), _ in pairs)}
+        r = r1 + r2 + r3
+        for r1_block in combinations(window, r1):
+            rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
+            r1_shift = tuple(i - (window.start - 1) for i in r1_block)
+            # the points and x fill s_a + s_b + 1 rows
+            lam1 = removal_partition(d + 1, r1_shift, s_a + s_b + 1)
+            x1 = [_convolve([num * c for c in xpart], strip_sums(lam1, e))
+                  for (_, (num, xpart)), e in zip(pairs, e1)]
+            for r2_block in combinations(rest, r2):
+                r3_block = tuple(i for i in rest if i not in r2_block)
+                part = IndexPartition(r, (r1_block, r2_block, r3_block))
+                sign = sigma_sign(m, n, mbar, nbar, d, part)
+                lam2 = removal_partition(m + n - d, r2_block, mbar - s_a + n)
+                lam3 = removal_partition(m + n - d, r3_block, m + nbar - s_b)
+                shift = exp - s_a - s_b - sum(lam1) - sum(lam2) - sum(lam3)
+                s2 = {a_idx: jacobi_trudi(lam2, e) for a_idx, e in e2.items()}
+                s3 = {b_idx: jacobi_trudi(lam3, e) for b_idx, e in e3.items()}
+                for ((a_idx, b_idx), _), poly in zip(pairs, x1):
+                    f = sign * s2[a_idx] * s3[b_idx]
+                    yield (part, a_idx, b_idx, sign, [f * c for c in poly],
+                           shift)
 
 
 def sylm_terms(a: RootMultiset, b: RootMultiset, d: int,
@@ -439,20 +460,35 @@ def sylm_terms(a: RootMultiset, b: RootMultiset, d: int,
     `force_collapsed` applies the two-index formula outside its range
     (debug only; no correctness claim there).
     """
-    m, n = a.size, b.size
-    check_degree_window(m, n, d)
-    mp = a.excess_count
-    np_ = b.excess_count
-    if force_collapsed or mp + np_ <= d:
-        return _terms_collapsed(a, b, d)
-    return _terms_general(a, b, d)
+    terms = _integer_terms(a, b, d, force_collapsed)
+    den, vand = next(terms)
+    avals, bvals = a.distinct_values(), b.distinct_values()
+    return (SylmTerm(part, tuple(avals[i] for i in a_idx),
+                     tuple(bvals[j] for j in b_idx), sign,
+                     Poly(_over(c, vand, den, exp + j)
+                          for j, c in enumerate(coeffs)))
+            for part, a_idx, b_idx, sign, coeffs, exp in terms)
 
 
 def sylm(a: RootMultiset, b: RootMultiset, d: int,
          force_collapsed: bool = False) -> Poly:
-    """Multiset Sylvester single sum; equals (-1)^(d(m-d)) Sres_d."""
-    return sum((term.value for term in sylm_terms(
-        a, b, d, force_collapsed=force_collapsed)), Poly.zero())
+    """Multiset Sylvester single sum; equals (-1)^(d(m-d)) Sres_d.
+
+    The integers of `sylm_terms` summed per exp, one Fraction per
+    coefficient. No term's degree passes d: s1's is at most λ1_1 <= d -
+    s_a - s_b.
+    """
+    terms = _integer_terms(a, b, d, force_collapsed)
+    den, vand = next(terms)
+    sums: dict = {}
+    for *_, coeffs, exp in terms:
+        acc = sums.setdefault(exp, [0] * (d + 1))
+        for j, c in enumerate(coeffs):
+            acc[j] += c
+    lo = min(sums, default=0)
+    return Poly(_over(sum(acc[j] * den ** (exp - lo)
+                          for exp, acc in sums.items()), vand, den, lo + j)
+                for j in range(d + 1))
 
 
 # -- multivariate evaluators --------------------------------------------------

@@ -28,7 +28,7 @@ from .rootsets import RootMultiset, rprod
 from .schur import schur_consistency_check
 from .sylvester import (apery_jouanolou_rhs_at, exchange_rhs_at,
                         single_sum_at, sres_det, syl_double, syl_single,
-                        sylm, sylm_terms, sym_interp_eval)
+                        sylm, sylm_term_bound, sylm_terms, sym_interp_eval)
 
 import random
 
@@ -249,13 +249,28 @@ def _check_sets_size(a: RootMultiset, b: RootMultiset) -> None:
                               f"got |A|={a.size}, |B|={b.size}")
 
 
+# sylm's terms per thm14 or thm12 record, by `sylm_term_bound`: at most 738
+# for degrees up to 6, and 9,898 up to 8, a thm14 replay of about 1 s on a
+# 2-vCPU machine under CPython 3.11
+_SYLM_MAX_TERMS = 10_000
+
+
+def _check_sylm_terms(a: RootMultiset, b: RootMultiset, ds) -> None:
+    terms = sum(sylm_term_bound(a, b, d) for d in ds)
+    if terms > _SYLM_MAX_TERMS:
+        raise ValidationError(f"sylm would enumerate up to {terms} terms, "
+                              f"above the cap of {_SYLM_MAX_TERMS}")
+
+
 def _check_sres(inst: dict, by_sylm: bool) -> dict:
     """Sres_d against (-1)^(d(m-d)) times sylm (thm14, which also names
     the regimes the checked ds reached) or the single sum (eq3), at every
     admissible d."""
     a, b = inst["a"], inst["b"]
     m = a.size
-    if not by_sylm:
+    if by_sylm:
+        _check_sylm_terms(a, b, _valid_ds(m, b.size))
+    else:
         _check_sets_size(a, b)
     f, g = Poly.from_roots(a.values()), Poly.from_roots(b.values())
     side, key = ((sylm, "sylm_signed") if by_sylm
@@ -296,6 +311,7 @@ def _check_thm12(inst: dict) -> dict:
     if d < excess:
         raise ValidationError(
             f"thm12 needs d >= m'+n' = {excess}, got d={d}")
+    _check_sylm_terms(a, b, [d])
     terms = list(sylm_terms(a, b, d))
     nonempty = [t for t in terms if any(t.partition.blocks)]
     if nonempty:

@@ -13,8 +13,10 @@ from sylres.errors import ValidationError
 from sylres.poly import Poly
 from sylres.rationals import parse_rational
 from sylres.rootsets import RootMultiset
-from sylres.verify import (_SUITES, SUITE_NAMES, FuzzConfig, _pool_size,
-                           _sample_distinct, decode_instance, replay)
+from sylres.sylvester import sylm_term_bound
+from sylres.verify import (_SUITES, _SYLM_MAX_TERMS, SUITE_NAMES, FuzzConfig,
+                           _pool_size, _sample_distinct, _valid_ds,
+                           decode_instance, replay)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -244,6 +246,12 @@ class TestParseErrors:
         assert out == "x^2 - 4*x + 4\n"
 
 
+def _pattern(size, distinct):
+    """A multiset of the given size with that many distinct values."""
+    return RootMultiset([(F(i), 1) for i in range(distinct - 1)]
+                        + [(F(distinct - 1), size - distinct + 1)])
+
+
 def _ints(lo, hi):
     """The integers lo..hi-1 as multiset shorthand."""
     return ",".join(map(str, range(lo, hi)))
@@ -366,6 +374,11 @@ class TestVerify:
                      "d": 15, "nx": 0}),
         # double sums of two 14-root sets at every (d, p)
         ("eq1", {"a": _ints(1, 15), "b": _ints(21, 35)}),
+        # sylm's 992,698 terms over every d, of which d = 0 alone took
+        # over a minute
+        ("thm14", {"a": "0:6,1:6", "b": "2:6,3:6"}),
+        # the C(16, 8) = 12,870 collapsed terms of two 16-root sets
+        ("thm12", {"a": _ints(1, 17), "b": _ints(21, 37), "d": 8}),
     ])
     def test_replay_past_cost_cap(self, tmp_path, suite, inst):
         # each is refused up front, well inside the timeout, instead of
@@ -377,6 +390,19 @@ class TestVerify:
         assert out.returncode == 2, out
         assert out.stdout == ""
         assert out.stderr.startswith("error:")
+
+    def test_sylm_cap_admits_degrees_up_to_8(self):
+        # the bound depends on the degrees and distinct counts alone; over
+        # degrees up to 6, the default --max-deg, and up to 8 it peaks at
+        # one root of full multiplicity on each side
+        def worst(top):
+            return max(
+                sum(sylm_term_bound(a, b, d) for d in _valid_ds(m, n))
+                for m in range(1, top + 1) for n in range(1, top + 1)
+                for a in map(_pattern, [m] * m, range(1, m + 1))
+                for b in map(_pattern, [n] * n, range(1, n + 1)))
+        assert worst(6) == 738
+        assert worst(8) == 9898 <= _SYLM_MAX_TERMS
 
     def test_examples_lets_other_errors_through(self, monkeypatch):
         # only NotDivisible reads as "not divisible"; a fault in exact_div

@@ -15,7 +15,8 @@ from sylres.sylvester import (SylmTerm, _base_table, apery_jouanolou_rhs,
                               apery_jouanolou_rhs_at, exchange_rhs_at,
                               exchange_rhs_eval, single_sum_at,
                               single_sum_eval, sres_det, syl_double,
-                              syl_single, sylm, sylm_terms, sym_interp_eval)
+                              syl_single, sylm, sylm_term_bound, sylm_terms,
+                              sym_interp_eval)
 from sylres.verify import _symmetric_pool
 from test_linalg import ref_det_p
 
@@ -394,6 +395,17 @@ def ref_base_factor(a, b, ap_vals, bp_vals):
     return num / den, xpart
 
 
+def base_table(a, b, s_a, s_b):
+    """`_base_table` as the rationals its integers stand for: each pair
+    (A' idx, B' idx) to (N D^exp / V, the x-part with c_i D^(i-s_a-s_b)
+    as its coefficient of x^i)."""
+    table, exp, vand, den = _base_table(a, b, s_a, s_b)
+    return {pair: (F(num, vand) * F(den) ** exp,
+                   Poly(c * F(den) ** (i - s_a - s_b)
+                        for i, c in enumerate(xpart)))
+            for pair, (num, xpart) in table.items()}
+
+
 def ref_terms_general(a, b, d):
     """The triple-partition loop as it ran before its Schur factors moved
     onto per-call integer tables: per term, it builds the RootMultisets of
@@ -417,7 +429,7 @@ def ref_terms_general(a, b, d):
             s_b = r3 + min(mp, d - np_)
             if not (0 <= s_a <= mbar and 0 <= s_b <= nbar):
                 continue
-            base_of = _base_table(a, b, s_a, s_b)
+            base_of = base_table(a, b, s_a, s_b)
             for r1_block in combinations(window, r1):
                 rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
                 for r2_block in combinations(rest, r2):
@@ -462,7 +474,7 @@ def ref_terms_collapsed(a, b, d):
     s_a, s_b = d - mp, mp
     if not (0 <= s_a <= mbar and 0 <= s_b <= len(bvals)):
         return
-    bases = _base_table(a, b, s_a, s_b)
+    bases = base_table(a, b, s_a, s_b)
     for a_idx in combinations(range(mbar), s_a):
         for b_idx in combinations(range(len(bvals)), s_b):
             base = bases.get((a_idx, b_idx))
@@ -688,7 +700,7 @@ def test_base_table_matches_reference(data):
     avals, bvals = a.distinct_values(), b.distinct_values()
     for s_a in range(len(avals) + 1):
         for s_b in range(len(bvals) + 1):
-            table = _base_table(a, b, s_a, s_b)
+            table = base_table(a, b, s_a, s_b)
             for a_idx in combinations(range(len(avals)), s_a):
                 for b_idx in combinations(range(len(bvals)), s_b):
                     want = ref_base_factor(a, b,
@@ -721,3 +733,24 @@ def test_sylm_terms_past_table_bound():
     # size triple, each with its own factors
     a, b = RM((0, 4), (1, 4)), RM((2, 4), (3, 4))
     assert list(sylm_terms(a, b, 1)) == list(ref_terms_general(a, b, 1))
+    assert sylm_term_bound(a, b, 1) == 1848
+    assert sylm_term_bound(a, b, 0) == binom(12, 6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_sylm_sums_its_terms(data):
+    # sylm's integers summed per power of D against the Fractions of
+    # sylm_terms, at every d and with the collapsed formula forced; the
+    # bound counts every pair, and a pair drops out only on a shared root
+    a = multiset(data.draw, data.draw(st.integers(1, 6)))
+    b = multiset(data.draw, data.draw(st.integers(1, 6)), a.distinct_values())
+    shared = set(a.distinct_values()) & set(b.distinct_values())
+    m, n = a.size, b.size
+    for d in range(min(m, n) + (0 if m == n else 1)):
+        for forced in (False, True):
+            terms = list(sylm_terms(a, b, d, force_collapsed=forced))
+            assert (sylm(a, b, d, force_collapsed=forced)
+                    == sum((t.value for t in terms), Poly.zero()))
+            bound = sylm_term_bound(a, b, d, force_collapsed=forced)
+            assert len(terms) <= bound if shared else len(terms) == bound
