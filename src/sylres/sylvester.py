@@ -303,14 +303,13 @@ class SylmTerm:
     value: Poly
 
 
-def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
-                ) -> tuple:
+def _base_table(a: RootMultiset, b: RootMultiset) -> tuple:
     """The difference-product ratios and x-parts common to both regimes,
-    as integers: (table, exp, V, D).
+    as integers: (D, wa, wb, V, table).
 
-    D is the common denominator of Ā and B̄, and V = vand(Ā) vand(B̄) on
-    their values times D. The table maps each pair of index tuples (A', B')
-    of sizes (s_a, s_b) into the distinct values of A and B to (N, c):
+    wa and wb are Ā and B̄ times their common denominator D, and V =
+    vand(wa) vand(wb). `table(s_a, s_b)` returns (pairs, exp). pairs maps
+    each pair of index tuples (A', B') of sizes (s_a, s_b) to (N, c):
     R(A excess, B̄ - B') R(Ā - A', B - B') / (R(A', Ā - A') R(B', B̄ - B'))
     is N D^exp / V, and the coefficient of x^i in R(x, A') R(x, B') is
     c_i D^(i - s_a - s_b). It leaves out the pairs whose N vanishes. It
@@ -329,21 +328,25 @@ def _base_table(a: RootMultiset, b: RootMultiset, s_a: int, s_b: int
     # R(A excess, b_j) and, per A', R(Ā - A', b_j) for each b_j
     excess = [prod(c ** (ma - 1) for c, ma in zip(row, mult_a))
               for row in cross]
-    # m'(n̄ - s_b) + (m̄ - s_a)(n - s_b) differences over s_a(m̄ - s_a) +
-    # s_b(n̄ - s_b)
-    exp = (s_a * (mbar - s_a) + s_b * (nbar - s_b)
-           - (a.size - mbar) * (nbar - s_b) - (mbar - s_a) * (b.size - s_b))
-    table = {}
-    for ap, a_rest, outer in ta.splits((s_a, mbar - s_a), (None, None)):
-        rest = [prod(row[i] for i in a_rest) for row in cross]
-        in_bp = [r ** (mb - 1) for r, mb in zip(rest, mult_b)]
-        out_bp = [e * r ** mb for e, r, mb in zip(excess, rest, mult_b)]
-        ap_roots = [wa[i] for i in ap]
-        for bp, _, weight in tb.splits((s_b, nbar - s_b), (in_bp, out_bp)):
-            # the coefficient of x^i is a product of s_a + s_b - i roots
-            table[ap, bp] = (weight * outer, linear_product(
-                ap_roots + [wb[j] for j in bp]))
-    return table, exp, ta.vandermonde * tb.vandermonde, den
+
+    def table(s_a: int, s_b: int) -> tuple:
+        pairs = {}
+        for ap, a_rest, outer in ta.splits((s_a, mbar - s_a), (None, None)):
+            rest = [prod(row[i] for i in a_rest) for row in cross]
+            in_bp = [r ** (mb - 1) for r, mb in zip(rest, mult_b)]
+            out_bp = [e * r ** mb for e, r, mb in zip(excess, rest, mult_b)]
+            ap_roots = [wa[i] for i in ap]
+            for bp, _, w in tb.splits((s_b, nbar - s_b), (in_bp, out_bp)):
+                # the coefficient of x^i is a product of s_a + s_b - i roots
+                pairs[ap, bp] = (w * outer, linear_product(
+                    ap_roots + [wb[j] for j in bp]))
+        # m'(n̄ - s_b) + (m̄ - s_a)(n - s_b) differences over s_a(m̄ - s_a)
+        # + s_b(n̄ - s_b)
+        return pairs, (s_a * (mbar - s_a) + s_b * (nbar - s_b)
+                       - (a.size - mbar) * (nbar - s_b)
+                       - (mbar - s_a) * (b.size - s_b))
+
+    return den, wa, wb, ta.vandermonde * tb.vandermonde, table
 
 
 def _size_triples(a: RootMultiset, b: RootMultiset, d: int,
@@ -371,12 +374,11 @@ def _size_triples(a: RootMultiset, b: RootMultiset, d: int,
                     if 0 <= t[3] <= mbar and 0 <= t[4] <= nbar]
 
 
-def sylm_term_bound(a: RootMultiset, b: RootMultiset, d: int,
-                    force_collapsed: bool = False) -> int:
+def sylm_term_bound(a: RootMultiset, b: RootMultiset, d: int) -> int:
     """The terms `sylm_terms` enumerates, at no cost per term: the sum of
     C(|window|, r1) C(r2 + r3, r2) C(m̄, s_a) C(n̄, s_b) over the size
     triples. The pairs whose ratio vanishes are not yielded."""
-    window, sizes = _size_triples(a, b, d, force_collapsed)
+    window, sizes = _size_triples(a, b, d, False)
     return sum(binom(len(window or ()), r1) * binom(r2 + r3, r2)
                * binom(a.distinct_count, s_a) * binom(b.distinct_count, s_b)
                for r1, r2, r3, s_a, s_b in sizes)
@@ -392,65 +394,67 @@ def _convolve(p: Sequence[int], q: Sequence[int]) -> List[int]:
 
 
 def _integer_terms(a: RootMultiset, b: RootMultiset, d: int,
-                   force_collapsed: bool) -> Iterator[tuple]:
-    """(D, V) of `_base_table`, then the multiset sum's terms as integers.
+                   force_collapsed: bool) -> tuple:
+    """(D, V, terms) for the multiset sum, V and D of `_base_table`.
 
     A term (partition, A' idx, B' idx, sign, coeffs, exp) has the
-    coefficient coeffs[j] D^(exp + j) / V of x^j. Its factors: the ratio
-    N D^e / V, the x-part's c_i D^(i - s_a - s_b) and, in the general
-    regime, s1's S_t / D^(|λ1| - t) (`strip_sums`) and s2, s3 = J / D^|λ|
-    (`jacobi_trudi`), on A' + B' with the symbolic point, (Ā - A') + B and
-    A + (B̄ - B') less the rows R1 (shifted), R2 and R3. So coeffs is
-    sign N J2 J3 (c ⋆ S). The subset sizes fix the pairs and each factor's
-    e-vectors, the R1 block s1 per pair, and the R2 block s2 per A' and s3
-    per B': each is computed once.
+    coefficient coeffs[j] D^(exp + j) / V of x^j: coeffs is sign N J2 J3
+    (c ⋆ S) for the pair's N and c, s1 = S_t / D^(|λ1| - t) (`strip_sums`)
+    and s2, s3 = J / D^|λ| (`jacobi_trudi`), on A' + B' with the symbolic
+    point, (Ā - A') + B and A + (B̄ - B') less the rows R1 (shifted), R2
+    and R3; the collapsed regime has no Schur factors. The subset sizes fix
+    the pairs, N c and the e-vectors, the R1 block s1 per pair, and the R2
+    block s2 per A' and s3 per B': each is computed once.
     """
     m, n = a.size, b.size
     mbar, nbar = a.distinct_count, b.distinct_count
     window, sizes = _size_triples(a, b, d, force_collapsed)
-    avals, bvals = a.distinct_values(), b.distinct_values()
-    den = common_denominator(avals, bvals)
-    wa, wb = scaled(avals, den), scaled(bvals, den)
-    yield den, prod(_DifferenceTable(w).vandermonde for w in (wa, wb))
+    den, wa, wb, vand, table = _base_table(a, b)
     a_all, b_all = scaled(a.values(), den), scaled(b.values(), den)
-    for r1, r2, r3, s_a, s_b in sizes:
-        table, exp, _, _ = _base_table(a, b, s_a, s_b)
-        if window is None:
-            sign = -1 if ((m - mbar) * (m - d)) % 2 else 1
-            for (a_idx, b_idx), (num, xpart) in table.items():
-                yield (IndexPartition(0, ((), (), ())), a_idx, b_idx, sign,
-                       [sign * num * c for c in xpart], exp - s_a - s_b)
-            continue
-        pairs = list(table.items())
-        e1 = [elementary([wa[i] for i in a_idx] + [wb[j] for j in b_idx])
-              for (a_idx, b_idx), _ in pairs]
-        e2 = {a_idx: elementary([w for i, w in enumerate(wa)
-                                 if i not in a_idx] + b_all)
-              for a_idx in dict.fromkeys(a for (a, _), _ in pairs)}
-        e3 = {b_idx: elementary(a_all + [w for j, w in enumerate(wb)
-                                         if j not in b_idx])
-              for b_idx in dict.fromkeys(b for (_, b), _ in pairs)}
-        r = r1 + r2 + r3
-        for r1_block in combinations(window, r1):
-            rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
-            r1_shift = tuple(i - (window.start - 1) for i in r1_block)
-            # the points and x fill s_a + s_b + 1 rows
-            lam1 = removal_partition(d + 1, r1_shift, s_a + s_b + 1)
-            x1 = [_convolve([num * c for c in xpart], strip_sums(lam1, e))
-                  for (_, (num, xpart)), e in zip(pairs, e1)]
-            for r2_block in combinations(rest, r2):
-                r3_block = tuple(i for i in rest if i not in r2_block)
-                part = IndexPartition(r, (r1_block, r2_block, r3_block))
-                sign = sigma_sign(m, n, mbar, nbar, d, part)
-                lam2 = removal_partition(m + n - d, r2_block, mbar - s_a + n)
-                lam3 = removal_partition(m + n - d, r3_block, m + nbar - s_b)
-                shift = exp - s_a - s_b - sum(lam1) - sum(lam2) - sum(lam3)
-                s2 = {a_idx: jacobi_trudi(lam2, e) for a_idx, e in e2.items()}
-                s3 = {b_idx: jacobi_trudi(lam3, e) for b_idx, e in e3.items()}
-                for ((a_idx, b_idx), _), poly in zip(pairs, x1):
-                    f = sign * s2[a_idx] * s3[b_idx]
-                    yield (part, a_idx, b_idx, sign, [f * c for c in poly],
-                           shift)
+
+    def terms() -> Iterator[tuple]:
+        for r1, r2, r3, s_a, s_b in sizes:
+            pairs, exp = table(s_a, s_b)
+            pairs = [(idx, [num * c for c in xpart])
+                     for idx, (num, xpart) in pairs.items()]
+            exp -= s_a + s_b
+            if window is None:
+                sign = -1 if ((m - mbar) * (m - d)) % 2 else 1
+                for (a_idx, b_idx), poly in pairs:
+                    yield (IndexPartition(0, ((), (), ())), a_idx, b_idx,
+                           sign, [sign * c for c in poly], exp)
+                continue
+            e1 = [elementary([wa[i] for i in a_idx] + [wb[j] for j in b_idx])
+                  for (a_idx, b_idx), _ in pairs]
+            e2 = {a_idx: elementary([w for i, w in enumerate(wa)
+                                     if i not in a_idx] + b_all)
+                  for a_idx in dict.fromkeys(a for (a, _), _ in pairs)}
+            e3 = {b_idx: elementary(a_all + [w for j, w in enumerate(wb)
+                                             if j not in b_idx])
+                  for b_idx in dict.fromkeys(b for (_, b), _ in pairs)}
+            r, k = r1 + r2 + r3, m + n - d
+            for r1_block in combinations(window, r1):
+                rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
+                r1_shift = tuple(i - (window.start - 1) for i in r1_block)
+                # the points and x fill s_a + s_b + 1 rows
+                lam1 = removal_partition(d + 1, r1_shift, s_a + s_b + 1)
+                x1 = [_convolve(poly, strip_sums(lam1, e))
+                      for (_, poly), e in zip(pairs, e1)]
+                for r2_block in combinations(rest, r2):
+                    r3_block = tuple(i for i in rest if i not in r2_block)
+                    part = IndexPartition(r, (r1_block, r2_block, r3_block))
+                    sign = sigma_sign(m, n, mbar, nbar, d, part)
+                    lam2 = removal_partition(k, r2_block, mbar - s_a + n)
+                    lam3 = removal_partition(k, r3_block, m + nbar - s_b)
+                    shift = exp - sum(lam1) - sum(lam2) - sum(lam3)
+                    s2 = {i: jacobi_trudi(lam2, e) for i, e in e2.items()}
+                    s3 = {j: jacobi_trudi(lam3, e) for j, e in e3.items()}
+                    for ((a_idx, b_idx), _), poly in zip(pairs, x1):
+                        f = sign * s2[a_idx] * s3[b_idx]
+                        yield (part, a_idx, b_idx, sign,
+                               [f * c for c in poly], shift)
+
+    return den, vand, terms()
 
 
 def sylm_terms(a: RootMultiset, b: RootMultiset, d: int,
@@ -460,8 +464,7 @@ def sylm_terms(a: RootMultiset, b: RootMultiset, d: int,
     `force_collapsed` applies the two-index formula outside its range
     (debug only; no correctness claim there).
     """
-    terms = _integer_terms(a, b, d, force_collapsed)
-    den, vand = next(terms)
+    den, vand, terms = _integer_terms(a, b, d, force_collapsed)
     avals, bvals = a.distinct_values(), b.distinct_values()
     return (SylmTerm(part, tuple(avals[i] for i in a_idx),
                      tuple(bvals[j] for j in b_idx), sign,
@@ -474,12 +477,10 @@ def sylm(a: RootMultiset, b: RootMultiset, d: int,
          force_collapsed: bool = False) -> Poly:
     """Multiset Sylvester single sum; equals (-1)^(d(m-d)) Sres_d.
 
-    The integers of `sylm_terms` summed per exp, one Fraction per
-    coefficient. No term's degree passes d: s1's is at most λ1_1 <= d -
-    s_a - s_b.
+    The terms' integers are summed per exp, each of degree at most d (s1's
+    is at most λ1_1 <= d - s_a - s_b), and make one Fraction per coefficient.
     """
-    terms = _integer_terms(a, b, d, force_collapsed)
-    den, vand = next(terms)
+    den, vand, terms = _integer_terms(a, b, d, force_collapsed)
     sums: dict = {}
     for *_, coeffs, exp in terms:
         acc = sums.setdefault(exp, [0] * (d + 1))

@@ -231,7 +231,29 @@ def _collapsed_double_sum(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
 # -- per-suite generators and checkers -----------------------------------------
 
 
+# sylm's terms per thm14 or thm12 record, by `sylm_term_bound`: at most 738
+# for degrees up to 6, and 9,898 up to 8, a thm14 replay of about 1 s on a
+# 2-vCPU machine under CPython 3.11. The generators stay below the cap by
+# their degrees, so that no draw stops a run part way.
+_SYLM_MAX_TERMS = 10_000
+_SYLM_MAX_DEG = 8
+
+
+def _check_sylm_terms(a: RootMultiset, b: RootMultiset, ds) -> None:
+    terms = sum(sylm_term_bound(a, b, d) for d in ds)
+    if terms > _SYLM_MAX_TERMS:
+        raise ValidationError(f"sylm would enumerate up to {terms} terms, "
+                              f"above the cap of {_SYLM_MAX_TERMS}")
+
+
+def _check_sylm_deg(cfg: FuzzConfig) -> None:
+    if cfg.max_deg > _SYLM_MAX_DEG:
+        raise ValidationError(f"thm14 and thm12 need max degree <= "
+                              f"{_SYLM_MAX_DEG}, got {cfg.max_deg}")
+
+
 def _gen_thm14(cfg: FuzzConfig):
+    _check_sylm_deg(cfg)
     rng = random.Random(cfg.seed)
     for i in range(cfg.count):
         a, b = _rand_pair(rng, cfg, force_repeat=i % 2 == 0)
@@ -247,19 +269,6 @@ def _check_sets_size(a: RootMultiset, b: RootMultiset) -> None:
     if max(a.size, b.size) > _SETS_MAX_SIZE:
         raise ValidationError(f"eq1-eq3 need |A|, |B| <= {_SETS_MAX_SIZE}; "
                               f"got |A|={a.size}, |B|={b.size}")
-
-
-# sylm's terms per thm14 or thm12 record, by `sylm_term_bound`: at most 738
-# for degrees up to 6, and 9,898 up to 8, a thm14 replay of about 1 s on a
-# 2-vCPU machine under CPython 3.11
-_SYLM_MAX_TERMS = 10_000
-
-
-def _check_sylm_terms(a: RootMultiset, b: RootMultiset, ds) -> None:
-    terms = sum(sylm_term_bound(a, b, d) for d in ds)
-    if terms > _SYLM_MAX_TERMS:
-        raise ValidationError(f"sylm would enumerate up to {terms} terms, "
-                              f"above the cap of {_SYLM_MAX_TERMS}")
 
 
 def _check_sres(inst: dict, by_sylm: bool) -> dict:
@@ -291,6 +300,7 @@ def _check_sres(inst: dict, by_sylm: bool) -> dict:
 
 
 def _gen_thm12(cfg: FuzzConfig):
+    _check_sylm_deg(cfg)
     rng = random.Random(cfg.seed)
     produced = 0
     while produced < cfg.count:

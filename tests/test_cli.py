@@ -14,9 +14,10 @@ from sylres.poly import Poly
 from sylres.rationals import parse_rational
 from sylres.rootsets import RootMultiset
 from sylres.sylvester import sylm_term_bound
-from sylres.verify import (_SUITES, _SYLM_MAX_TERMS, SUITE_NAMES, FuzzConfig,
-                           _pool_size, _sample_distinct, _valid_ds,
-                           decode_instance, replay)
+from sylres.verify import (_SUITES, _SYLM_MAX_DEG, _SYLM_MAX_TERMS,
+                           SUITE_NAMES, FuzzConfig, _pool_size,
+                           _sample_distinct, _valid_ds, decode_instance,
+                           replay)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -393,8 +394,9 @@ class TestVerify:
 
     def test_sylm_cap_admits_degrees_up_to_8(self):
         # the bound depends on the degrees and distinct counts alone; over
-        # degrees up to 6, the default --max-deg, and up to 8 it peaks at
-        # one root of full multiplicity on each side
+        # degrees up to 6, the default --max-deg, and up to 8, the most the
+        # thm14 and thm12 generators admit, it peaks at one root of full
+        # multiplicity on each side
         def worst(top):
             return max(
                 sum(sylm_term_bound(a, b, d) for d in _valid_ds(m, n))
@@ -402,7 +404,7 @@ class TestVerify:
                 for a in map(_pattern, [m] * m, range(1, m + 1))
                 for b in map(_pattern, [n] * n, range(1, n + 1)))
         assert worst(6) == 738
-        assert worst(8) == 9898 <= _SYLM_MAX_TERMS
+        assert worst(_SYLM_MAX_DEG) == 9898 <= _SYLM_MAX_TERMS
 
     def test_examples_lets_other_errors_through(self, monkeypatch):
         # only NotDivisible reads as "not divisible"; a fault in exact_div
@@ -471,6 +473,9 @@ class TestUnmeetableFuzzConfig:
         # past the size caps of lemma24's single sums and eq1's double sums
         ["verify", "lemma24", "--max-deg", "13"],
         ["verify", "eq1", "--max-deg", "11"],
+        # past the degrees whose sylm term counts stay under the cap
+        ["verify", "thm14", "--max-deg", "9"],
+        ["verify", "thm12", "--max-deg", "9"],
     ])
     def test_exits_2(self, argv):
         out = run_subprocess(*argv)

@@ -399,11 +399,12 @@ def base_table(a, b, s_a, s_b):
     """`_base_table` as the rationals its integers stand for: each pair
     (A' idx, B' idx) to (N D^exp / V, the x-part with c_i D^(i-s_a-s_b)
     as its coefficient of x^i)."""
-    table, exp, vand, den = _base_table(a, b, s_a, s_b)
+    den, _, _, vand, table = _base_table(a, b)
+    pairs, exp = table(s_a, s_b)
     return {pair: (F(num, vand) * F(den) ** exp,
                    Poly(c * F(den) ** (i - s_a - s_b)
                         for i, c in enumerate(xpart)))
-            for pair, (num, xpart) in table.items()}
+            for pair, (num, xpart) in pairs.items()}
 
 
 def ref_terms_general(a, b, d):
@@ -742,7 +743,8 @@ def test_sylm_terms_past_table_bound():
 def test_sylm_sums_its_terms(data):
     # sylm's integers summed per power of D against the Fractions of
     # sylm_terms, at every d and with the collapsed formula forced; the
-    # bound counts every pair, and a pair drops out only on a shared root
+    # bound counts every pair of the plain run, and a pair drops out only
+    # on a shared root
     a = multiset(data.draw, data.draw(st.integers(1, 6)))
     b = multiset(data.draw, data.draw(st.integers(1, 6)), a.distinct_values())
     shared = set(a.distinct_values()) & set(b.distinct_values())
@@ -752,5 +754,6 @@ def test_sylm_sums_its_terms(data):
             terms = list(sylm_terms(a, b, d, force_collapsed=forced))
             assert (sylm(a, b, d, force_collapsed=forced)
                     == sum((t.value for t in terms), Poly.zero()))
-            bound = sylm_term_bound(a, b, d, force_collapsed=forced)
-            assert len(terms) <= bound if shared else len(terms) == bound
+            if not forced:
+                bound = sylm_term_bound(a, b, d)
+                assert len(terms) <= bound if shared else len(terms) == bound
