@@ -77,9 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--trace", action="store_true",
                    help="dump every term (partition, subsets, sign, value)")
-    p.add_argument("--force-bigd", action="store_true",
-                   help="apply the collapsed two-index formula outside its "
-                        "range (debug; no correctness claim)")
     p.set_defaults(run=_cmd_sylm)
 
     p = sub.add_parser("schur", help="confluent Schur polynomial value")
@@ -126,12 +123,10 @@ def _cmd_sylm(args) -> int:
     a = parse_multiset(args.a)
     b = parse_multiset(args.b)
     if args.trace:
-        terms = list(sylm_terms(a, b, args.d,
-                                force_collapsed=args.force_bigd))
+        terms = list(sylm_terms(a, b, args.d))
         total = sum((t.value for t in terms), Poly.zero())
         return _emit(lambda: _render_trace(terms, total, args.json))
-    return _emit_poly(sylm(a, b, args.d, force_collapsed=args.force_bigd),
-                      args.json)
+    return _emit_poly(sylm(a, b, args.d), args.json)
 
 
 def _render_trace(terms, total: Poly, as_json: bool) -> str:

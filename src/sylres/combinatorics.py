@@ -6,7 +6,6 @@ Enumeration is lexicographic everywhere so runs are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence, Tuple
@@ -30,13 +29,6 @@ def enum_splits(universe: Sequence[int],
         return iter(())
     return zip(combinations(universe, k),
                reversed(list(combinations(universe, len(universe) - k))))
-
-
-def binom(d: int, p: int) -> int:
-    """C(d, p), zero when p > d."""
-    if p < 0 or p > d:
-        return 0
-    return math.comb(d, p)
 
 
 def sg_set(r: int, subset: Sequence[int]) -> int:

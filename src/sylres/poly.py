@@ -51,8 +51,8 @@ class Poly:
         return cls((qof(c),))
 
     @classmethod
-    def monomial(cls, k: int, c=Q1) -> "Poly":
-        return cls((Q0,) * k + (qof(c),))
+    def monomial(cls, k: int) -> "Poly":
+        return cls((Q0,) * k + (Q1,))
 
     @classmethod
     def from_roots(cls, roots: Iterable) -> "Poly":

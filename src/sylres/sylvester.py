@@ -14,6 +14,10 @@ their power of D. The points X of the evaluators are applied per evaluation,
 scaled by their own common denominator, as one product per first block. The
 `*_at` forms build a sum once, and the grid checks of `verify` build each side
 so once per record.
+`sylm` runs in one of two regimes, chosen by its input alone: the collapsed
+two-index sum when d >= m'+n', the triple-partition sum otherwise. Only the
+literal two-index sum of `verify` applies the collapsed formula below its
+range, for the worked examples' negative case.
 `sylm` takes its difference-product ratios and x-parts from `_base_table`, on
 the same kernel, and its confluent Schur factors from the integer
 Jacobi–Trudi kernel of `schur`, each computed once at the loop level of
@@ -30,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .combinatorics import IndexPartition, binom, enum_splits, sigma_sign
+from .combinatorics import IndexPartition, enum_splits, sigma_sign
 from .errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                      MultiplicityNotOne, TooFewElements)
 from .linalg import det_z_bordered
@@ -349,38 +353,36 @@ def _base_table(a: RootMultiset, b: RootMultiset) -> tuple:
     return den, wa, wb, ta.vandermonde * tb.vandermonde, table
 
 
-def _size_triples(a: RootMultiset, b: RootMultiset, d: int,
-                  force_collapsed: bool) -> tuple:
-    """The R1 window, None in the collapsed regime (d >= m'+n' or forced),
-    and the sizes (r1, r2, r3, s_a, s_b) of R1, R2, R3, A' and B' that the
-    multiset sum runs over, in loop order."""
+def _size_triples(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
+    """The R1 window, None in the collapsed regime d >= m'+n', and the sizes
+    (r1, r2, r3, s_a, s_b) of R1, R2, R3, A' and B' that the multiset sum
+    runs over, in loop order."""
     m, n = a.size, b.size
     check_degree_window(m, n, d)
     mbar, nbar = a.distinct_count, b.distinct_count
     mp, np_ = m - mbar, n - nbar
     r = mp + np_ - d
-    window, sizes = None, [(0, 0, 0, d - mp, mp)]
-    if not (force_collapsed or r <= 0):
-        # from m+n-2d, which the degree window keeps >= 1
-        window, sizes = range(m + n - 2 * d, r + 1), []
-        for r1 in range(len(window) + 1):
-            for r2 in range(max(0, mp - d), min(m - d, r - r1) + 1):
-                r3 = r - r1 - r2
-                # each factor removes the rows its points leave over:
-                # r1 = d-s_a-s_b, r2 = m-d-(m̄-s_a) and r3 = n-d-(n̄-s_b)
-                if max(0, np_ - d) <= r3 <= n - d:
-                    sizes.append((r1, r2, r3, r2 + d - mp, r3 + d - np_))
-    return window, [t for t in sizes
-                    if 0 <= t[3] <= mbar and 0 <= t[4] <= nbar]
+    if r <= 0:
+        return None, [(0, 0, 0, d - mp, mp)]
+    # from m+n-2d, which the degree window keeps >= 1
+    window, sizes = range(m + n - 2 * d, r + 1), []
+    for r1 in range(len(window) + 1):
+        for r2 in range(max(0, mp - d), min(m - d, r - r1) + 1):
+            r3 = r - r1 - r2
+            # each factor removes the rows its points leave over:
+            # r1 = d-s_a-s_b, r2 = m-d-(m̄-s_a) and r3 = n-d-(n̄-s_b)
+            if max(0, np_ - d) <= r3 <= n - d:
+                sizes.append((r1, r2, r3, r2 + d - mp, r3 + d - np_))
+    return window, sizes
 
 
 def sylm_term_bound(a: RootMultiset, b: RootMultiset, d: int) -> int:
     """The terms `sylm_terms` enumerates, at no cost per term: the sum of
     C(|window|, r1) C(r2 + r3, r2) C(m̄, s_a) C(n̄, s_b) over the size
     triples. The pairs whose ratio vanishes are not yielded."""
-    window, sizes = _size_triples(a, b, d, False)
-    return sum(binom(len(window or ()), r1) * binom(r2 + r3, r2)
-               * binom(a.distinct_count, s_a) * binom(b.distinct_count, s_b)
+    window, sizes = _size_triples(a, b, d)
+    return sum(comb(len(window or ()), r1) * comb(r2 + r3, r2)
+               * comb(a.distinct_count, s_a) * comb(b.distinct_count, s_b)
                for r1, r2, r3, s_a, s_b in sizes)
 
 
@@ -393,8 +395,7 @@ def _convolve(p: Sequence[int], q: Sequence[int]) -> List[int]:
     return out
 
 
-def _integer_terms(a: RootMultiset, b: RootMultiset, d: int,
-                   force_collapsed: bool) -> tuple:
+def _integer_terms(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
     """(D, V, terms) for the multiset sum, V and D of `_base_table`.
 
     A term (partition, A' idx, B' idx, sign, coeffs, exp) has the
@@ -408,7 +409,7 @@ def _integer_terms(a: RootMultiset, b: RootMultiset, d: int,
     """
     m, n = a.size, b.size
     mbar, nbar = a.distinct_count, b.distinct_count
-    window, sizes = _size_triples(a, b, d, force_collapsed)
+    window, sizes = _size_triples(a, b, d)
     den, wa, wb, vand, table = _base_table(a, b)
     a_all, b_all = scaled(a.values(), den), scaled(b.values(), den)
 
@@ -457,14 +458,14 @@ def _integer_terms(a: RootMultiset, b: RootMultiset, d: int,
     return den, vand, terms()
 
 
-def sylm_terms(a: RootMultiset, b: RootMultiset, d: int,
-               force_collapsed: bool = False) -> Iterator[SylmTerm]:
+def sylm_terms(a: RootMultiset, b: RootMultiset,
+               d: int) -> Iterator[SylmTerm]:
     """Stream of audited terms; order is deterministic.
 
-    `force_collapsed` applies the two-index formula outside its range
-    (debug only; no correctness claim there).
+    The regime follows from the input: the two-index terms of the collapsed
+    formula when d >= m'+n', the triple-partition terms otherwise.
     """
-    den, vand, terms = _integer_terms(a, b, d, force_collapsed)
+    den, vand, terms = _integer_terms(a, b, d)
     avals, bvals = a.distinct_values(), b.distinct_values()
     return (SylmTerm(part, tuple(avals[i] for i in a_idx),
                      tuple(bvals[j] for j in b_idx), sign,
@@ -473,14 +474,13 @@ def sylm_terms(a: RootMultiset, b: RootMultiset, d: int,
             for part, a_idx, b_idx, sign, coeffs, exp in terms)
 
 
-def sylm(a: RootMultiset, b: RootMultiset, d: int,
-         force_collapsed: bool = False) -> Poly:
+def sylm(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
     """Multiset Sylvester single sum; equals (-1)^(d(m-d)) Sres_d.
 
     The terms' integers are summed per exp, each of degree at most d (s1's
     is at most λ1_1 <= d - s_a - s_b), and make one Fraction per coefficient.
     """
-    den, vand, terms = _integer_terms(a, b, d, force_collapsed)
+    den, vand, terms = _integer_terms(a, b, d)
     sums: dict = {}
     for *_, coeffs, exp in terms:
         acc = sums.setdefault(exp, [0] * (d + 1))

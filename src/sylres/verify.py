@@ -17,9 +17,10 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import comb
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from .combinatorics import binom, check_sign_lemma, enum_partitions3
+from .combinatorics import check_sign_lemma, enum_partitions3
 from .errors import NotDivisible, UnknownSuite, ValidationError
 from .io import parse_multiset
 from .poly import Poly
@@ -89,11 +90,12 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def grid_check_identity(lhs: Callable[..., Fraction],
-                        rhs: Callable[..., Fraction],
+def grid_check_identity(lhs: Callable[[tuple], Fraction],
+                        rhs: Callable[[tuple], Fraction],
                         nvars: int, per_var_degree: int,
                         avoid: Iterable = ()) -> bool:
-    """Compare two k-variable polynomial evaluators on a full grid.
+    """Compare two k-variable polynomial evaluators, each a function of a
+    point tuple, on a full grid.
 
     Agreement at (per_var_degree+1)^k points with distinct coordinates per
     axis proves equality of polynomials of per-variable degree at most
@@ -112,7 +114,7 @@ def grid_check_identity(lhs: Callable[..., Fraction],
             values.append(q)
         candidate += 1
     for point in itertools.product(values, repeat=nvars):
-        if lhs(*point) != rhs(*point):
+        if lhs(point) != rhs(point):
             return False
     return True
 
@@ -186,11 +188,10 @@ def _rand_pair(rng: random.Random, cfg: FuzzConfig,
     return a, b
 
 def _rand_set_pair(rng: random.Random, cfg: FuzzConfig,
-                   min_m: int = 1, min_n: int = 1,
                    max_total: Optional[int] = None) -> tuple:
     while True:
-        m = rng.randint(min_m, cfg.max_deg)
-        n = rng.randint(min_n, cfg.max_deg)
+        m = rng.randint(1, cfg.max_deg)
+        n = rng.randint(1, cfg.max_deg)
         if max_total is None or m + n <= max_total:
             break
     vals = _sample_distinct(rng, m + n, cfg.coeff_bound)
@@ -207,7 +208,10 @@ def _sres_sign(d: int, m: int) -> int:
 
 
 def _collapsed_double_sum(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
-    """Literal two-index multiset sum, written out independently of sylm."""
+    """Literal two-index multiset sum, written out independently of sylm.
+
+    It holds Sres_d only for d >= m'+n', the collapsed regime, but runs at
+    any d >= m': the worked examples' negative case applies it below."""
     abar, a_excess = a.split()
     bbar, _ = b.split()
     m = a.size
@@ -359,7 +363,7 @@ def _check_double(inst: dict, by_sres: bool) -> dict:
             if q > n:
                 continue
             sign = -1 if ((p if by_sres else q) * (m - d)) % 2 else 1
-            expect = ref.scale(sign * binom(d, p))
+            expect = ref.scale(sign * comb(d, p))
             got = syl_double(a, b, p, q)
             if got != expect:
                 return {"ok": False, "d": d, "p": p, "q": q,
@@ -418,8 +422,7 @@ def _check_lemma24(inst: dict) -> dict:
     avoid = a.distinct_values() + b.distinct_values()
     lhs = single_sum_at(a, b, d)
     rhs = exchange_rhs_at(a, b, d) if inst["part"] == 1 else lambda xs: 0
-    return {"ok": grid_check_identity(lambda *xs: lhs(xs),
-                                      lambda *xs: rhs(xs), nx, d, avoid)}
+    return {"ok": grid_check_identity(lhs, rhs, nx, d, avoid)}
 
 
 # prop21 draws m + n at most this, so d <= m < this, and |E| at most 2
@@ -454,8 +457,7 @@ def _check_prop21(inst: dict) -> dict:
             f" got |A|+|B|={m + n}, |E|={e.size}")
     avoid = a.distinct_values() + b.distinct_values() + e.distinct_values()
     lhs, rhs = single_sum_at(a, b, d), apery_jouanolou_rhs_at(a, b, d, e, nx)
-    return {"ok": grid_check_identity(lambda *xs: lhs(xs),
-                                      lambda *xs: rhs(xs), nx, d, avoid)}
+    return {"ok": grid_check_identity(lhs, rhs, nx, d, avoid)}
 
 
 def _symmetric_pool(d: int, nvars: int):
@@ -529,6 +531,11 @@ def _check_lemma34(inst: dict) -> dict:
     return {"ok": True, "checked": checked}
 
 
+# schur-consistency draws k <= 10, which also bounds the removed rows and
+# the points; a replay at k = 400 took 90 s
+_SCHUR_MAX_K = 10
+
+
 def _gen_schur_consistency(cfg: FuzzConfig):
     """`count` specs on point sets, then `count` on true multisets.
 
@@ -590,9 +597,10 @@ def _check_examples(inst: dict) -> dict:
     g_big = Poly.from_roots(b_big.values())
     if sylm(a, b_big, 2).scale(_sres_sign(2, 3)) != g_big - f:
         return {"ok": False, "case": "d below excess bound"}
-    # negative case: the collapsed formula forced below its range is a
-    # multiple of (x - b1) and differs from the true subresultant
-    forced = sylm(a, b_big, 2, force_collapsed=True)
+    # negative case: the collapsed formula forced below its range, by the
+    # literal two-index sum, is a multiple of (x - b1) and differs from the
+    # true subresultant
+    forced = _collapsed_double_sum(a, b_big, 2)
     try:
         forced.exact_div(Poly.from_roots([b1]))
     except NotDivisible:
@@ -623,7 +631,8 @@ _SUITES = {
     "lemma34": (_gen_lemma34, _check_lemma34,
                 {"r": range(1, _LEMMA34_MAX_R + 1)}),
     "schur-consistency": (_gen_schur_consistency, _check_schur_consistency, {
-        "k": int, "removed": [int], "points": RootMultiset,
+        "k": range(0, _SCHUR_MAX_K + 1), "removed": [int],
+        "points": RootMultiset,
         "with_x": (bool, False)}),
     "examples": (_gen_examples, _check_examples,
                  dict.fromkeys(("alpha1", "alpha2", "beta1"), Fraction)),

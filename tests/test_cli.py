@@ -139,14 +139,13 @@ class TestSums:
         assert any(any(doc_t["partition"][i] for i in range(3))
                    for doc_t in doc["terms"])
 
-    def test_sylm_force_bigd(self, capsys):
-        rc_forced, out_forced, _ = run(capsys, "sylm", "-a", "0:1,1:2",
-                                       "-b", "2:3", "-d", "2",
-                                       "--force-bigd")
-        rc, out, _ = run(capsys, "sylm", "-a", "0:1,1:2",
-                         "-b", "2:3", "-d", "2")
-        assert rc_forced == rc == 0
-        assert out_forced != out
+    def test_sylm_has_no_forced_regime(self, capsys):
+        # sylm's regime follows from d alone, so no flag can force one
+        with pytest.raises(SystemExit) as exc:
+            main(["sylm", "-a", "0:1,1:2", "-b", "2:3", "-d", "2",
+                  "--force-bigd"])
+        assert exc.value.code == 2
+        assert "--force-bigd" in capsys.readouterr().err
 
     def test_multiset_a_rejected(self, capsys):
         rc, _, err = run(capsys, "syl-single", "-a", "1:2",
@@ -380,6 +379,9 @@ class TestVerify:
         ("thm14", {"a": "0:6,1:6", "b": "2:6,3:6"}),
         # the C(16, 8) = 12,870 collapsed terms of two 16-root sets
         ("thm12", {"a": _ints(1, 17), "b": _ints(21, 37), "d": 8}),
+        # a Schur value of 400 rows, 395 of them removed: 90 s uncapped
+        ("schur-consistency", {"k": 400, "removed": list(range(6, 401)),
+                               "points": "1/2,2/3,3/5,5/7,7/11"}),
     ])
     def test_replay_past_cost_cap(self, tmp_path, suite, inst):
         # each is refused up front, well inside the timeout, instead of

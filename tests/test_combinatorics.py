@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from sylres.combinatorics import (IndexPartition, binom, check_sign_lemma,
+from sylres.combinatorics import (IndexPartition, check_sign_lemma,
                                   enum_partitions3, enum_splits, sg_blocks,
                                   sg_partition, sg_set, sigma_sign)
 from sylres.errors import (IndexOutOfRange, InvalidPartition,
@@ -44,13 +44,6 @@ class TestEnumSubsets:
                     assert rest == tuple(i for i in universe if i not in s)
                 total += len(subs)
             assert total == 2 ** n
-
-
-class TestBinom:
-    def test_values(self):
-        assert binom(4, 2) == 6
-        assert binom(9, 0) == 1
-        assert binom(2, 3) == 0
 
 
 class TestSgSet:

@@ -1,23 +1,24 @@
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sylres.combinatorics import IndexPartition, binom, sigma_sign
+from sylres.combinatorics import IndexPartition, sigma_sign
 from sylres.errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                            MultiplicityNotOne, TooFewElements)
 from sylres.poly import Poly
 from sylres.rootsets import RootMultiset, rprod, rprod_vals
 from sylres.schur import SchurSpec, schur_poly_x, schur_value
-from sylres.sylvester import (SylmTerm, _base_table, apery_jouanolou_rhs,
-                              apery_jouanolou_rhs_at, exchange_rhs_at,
-                              exchange_rhs_eval, single_sum_at,
-                              single_sum_eval, sres_det, syl_double,
-                              syl_single, sylm, sylm_term_bound, sylm_terms,
-                              sym_interp_eval)
-from sylres.verify import _symmetric_pool
+from sylres.sylvester import (SylmTerm, _base_table, _size_triples,
+                              apery_jouanolou_rhs, apery_jouanolou_rhs_at,
+                              exchange_rhs_at, exchange_rhs_eval,
+                              single_sum_at, single_sum_eval, sres_det,
+                              syl_double, syl_single, sylm, sylm_term_bound,
+                              sylm_terms, sym_interp_eval)
+from sylres.verify import _collapsed_double_sum, _symmetric_pool
 from test_linalg import ref_det_p
 
 
@@ -118,7 +119,7 @@ class TestSylDouble:
         d = 1
         got = syl_double(a, b, 0, 1)
         sign = -1 if (1 * (2 - d)) % 2 else 1
-        assert got == syl_single(a, b, d).scale(sign * binom(d, 0))
+        assert got == syl_single(a, b, d).scale(sign * comb(d, 0))
 
     def test_multiset_rejected(self):
         with pytest.raises(MultiplicityNotOne):
@@ -157,13 +158,14 @@ class TestSylm:
                    for term in sylm_terms(a, b, 2))
 
     def test_forced_collapsed_below_range(self):
-        # outside its range the two-index formula picks up a spurious
-        # root at the repeated value of B and misses the subresultant
+        # outside its range the two-index formula, here verify's literal
+        # sum, picks up a spurious root at the repeated value of B and
+        # misses the subresultant
         a = RM((0, 1), (1, 2))
         b = RM((2, 3))
         f = Poly.from_roots(a.values())
         g = Poly.from_roots(b.values())
-        forced = sylm(a, b, 2, force_collapsed=True)
+        forced = _collapsed_double_sum(a, b, 2)
         assert forced.exact_div(Poly.from_roots([F(2)]))  # divisible
         assert forced.scale(sres_sign(2, 3)) != g - f
 
@@ -723,9 +725,6 @@ def test_sylm_terms_match_reference(data):
         else:
             want = ref_terms_general(a, b, d)
         assert list(sylm_terms(a, b, d)) == list(want)
-    # the two-index formula forced below its range
-    assert (list(sylm_terms(a, b, 0, force_collapsed=True))
-            == list(ref_terms_collapsed(a, b, 0)))
 
 
 def test_sylm_terms_past_table_bound():
@@ -735,25 +734,40 @@ def test_sylm_terms_past_table_bound():
     a, b = RM((0, 4), (1, 4)), RM((2, 4), (3, 4))
     assert list(sylm_terms(a, b, 1)) == list(ref_terms_general(a, b, 1))
     assert sylm_term_bound(a, b, 1) == 1848
-    assert sylm_term_bound(a, b, 0) == binom(12, 6)
+    assert sylm_term_bound(a, b, 0) == comb(12, 6)
+
+
+def test_size_triples_stay_in_range():
+    # every subset size lies in 0..m̄ and 0..n̄, so no triple needs a filter;
+    # the triples depend only on the degrees and distinct counts
+    def shape(size, distinct):
+        return RootMultiset([(F(i), 1) for i in range(distinct - 1)]
+                            + [(F(distinct - 1), size - distinct + 1)])
+    shapes = 0
+    for m in range(1, 11):
+        for n in range(1, 11):
+            for mbar in range(1, m + 1):
+                for nbar in range(1, n + 1):
+                    a, b = shape(m, mbar), shape(n, nbar)
+                    for d in range(min(m, n) + (0 if m == n else 1)):
+                        shapes += 1
+                        for *_, s_a, s_b in _size_triples(a, b, d)[1]:
+                            assert 0 <= s_a <= mbar and 0 <= s_b <= nbar
+    assert shapes == 19657
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_sylm_sums_its_terms(data):
     # sylm's integers summed per power of D against the Fractions of
-    # sylm_terms, at every d and with the collapsed formula forced; the
-    # bound counts every pair of the plain run, and a pair drops out only
-    # on a shared root
+    # sylm_terms, at every d; the bound counts every pair, and a pair drops
+    # out only on a shared root
     a = multiset(data.draw, data.draw(st.integers(1, 6)))
     b = multiset(data.draw, data.draw(st.integers(1, 6)), a.distinct_values())
     shared = set(a.distinct_values()) & set(b.distinct_values())
     m, n = a.size, b.size
     for d in range(min(m, n) + (0 if m == n else 1)):
-        for forced in (False, True):
-            terms = list(sylm_terms(a, b, d, force_collapsed=forced))
-            assert (sylm(a, b, d, force_collapsed=forced)
-                    == sum((t.value for t in terms), Poly.zero()))
-            if not forced:
-                bound = sylm_term_bound(a, b, d)
-                assert len(terms) <= bound if shared else len(terms) == bound
+        terms = list(sylm_terms(a, b, d))
+        assert sylm(a, b, d) == sum((t.value for t in terms), Poly.zero())
+        bound = sylm_term_bound(a, b, d)
+        assert len(terms) <= bound if shared else len(terms) == bound
