@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Callable
 
@@ -43,8 +44,18 @@ def _emit_poly(p: Poly, as_json: bool) -> int:
     return _emit(lambda: json.dumps(p.to_json()) if as_json else str(p))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with '-' and then a digit or '.' as a
+    value, not as an option: the root list in `-a -1:2,3` or `-f -2,1`."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-[\d.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="sylres",
         description="Exact subresultants and Sylvester sums in the roots")
     top.add_argument("--json", action="store_true",
@@ -134,7 +145,7 @@ def _render_trace(terms, total: Poly, as_json: bool) -> str:
         return json.dumps({
             "value": total.to_json(),
             "terms": [{
-                "partition": [list(blk) for blk in t.partition.blocks],
+                "partition": [list(blk) for blk in t.partition],
                 "a_prime": [str(v) for v in t.a_prime],
                 "b_prime": [str(v) for v in t.b_prime],
                 "sign": t.sign,
@@ -142,8 +153,7 @@ def _render_trace(terms, total: Poly, as_json: bool) -> str:
             } for t in terms]})
     lines = []
     for t in terms:
-        blocks = "|".join(",".join(map(str, blk))
-                          for blk in t.partition.blocks)
+        blocks = "|".join(",".join(map(str, blk)) for blk in t.partition)
         aps = ",".join(map(str, t.a_prime))
         bps = ",".join(map(str, t.b_prime))
         lines.append(f"R=({blocks}) A'=({aps}) B'=({bps}) "

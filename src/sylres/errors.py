@@ -49,10 +49,6 @@ class EmptyPoints(SylresError):
 
 # -- combinatorics -----------------------------------------------------------
 
-class InvalidPartition(SylresError):
-    pass
-
-
 class ShiftOutOfRange(SylresError):
     """Shifted first block leaves {1,..,r-s}."""
 

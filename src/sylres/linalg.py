@@ -26,25 +26,19 @@ from typing import List, Sequence, Tuple
 from .errors import (IndexOutOfRange, MultiplePolyColumns, NotSquare,
                      NotSquareAfterRemoval, TooManyColumns)
 from .poly import Poly
-from .rationals import Q0
+from .rationals import Q0, common_denominator, scaled
 from .rootsets import RootMultiset
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]
                   ) -> Tuple[List[List[int]], int]:
     """(rows, scale): each row times the lcm of its denominators, as
-    integers, and the product of those multipliers.
-
-    The lcm is taken pairwise: a starred `lcm` would build an argument
-    tuple as long as the row.
-    """
+    integers, and the product of those multipliers."""
     a, scale = [], 1
     for row in rows:
-        den = 1
-        for v in row:
-            den = math.lcm(den, v.denominator)
+        den = common_denominator(row)
         scale *= den
-        a.append([v.numerator * (den // v.denominator) for v in row])
+        a.append(scaled(row, den))
     return a, scale
 
 

@@ -109,9 +109,7 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero()
@@ -122,9 +120,6 @@ class Poly:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
         return Poly(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def scale(self, c) -> "Poly":
         c = qof(c)

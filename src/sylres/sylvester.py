@@ -21,12 +21,13 @@ range, for the worked examples' negative case.
 `sylm` takes its difference-product ratios and x-parts from `_base_table`, on
 the same kernel, and its confluent Schur factors from the integer
 Jacobi–Trudi kernel of `schur`, each computed once at the loop level of
-`_integer_terms` that fixes its removed rows. Each factor is an integer over
-a known power of D, so coefficient j of a term is an integer times
-D^(exp + j) over the one V = vand(Ā) vand(B̄). `sylm` adds those integers
-per exp and builds one Fraction per output coefficient; `sylm_terms` builds
-each term's Fractions for the audit. The literal forms of these sums survive
-only as test references.
+`_integer_terms` that fixes its removed rows. On the roots scaled by D every
+term is an integer over V = vand(Ā) vand(B̄), and every term is homogeneous
+of the degree δ = (m-d)(n-d) + d of Sres_d, so coefficient j of every term
+is an integer over the one V D^(δ-j). `sylm` adds those integers and builds
+one Fraction per output coefficient; `sylm_terms` builds each term's
+Fractions for the audit. The literal forms of these sums survive only as
+test references.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import combinations
 from math import comb, prod
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .combinatorics import IndexPartition, enum_splits, sigma_sign
+from .combinatorics import Partition3, enum_splits, sigma_sign
 from .errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                      MultiplicityNotOne, TooFewElements)
 from .linalg import det_z_bordered
@@ -296,11 +297,12 @@ def syl_double(a: RootMultiset, b: RootMultiset, p: int, q: int) -> Poly:
 class SylmTerm:
     """One audited term of the multiset sum.
 
+    `partition` is (R1, R2, R3), all empty in the collapsed regime.
     `a_prime` and `b_prime` are the distinct values of A' and B',
     ascending.
     """
 
-    partition: IndexPartition
+    partition: Partition3
     a_prime: Tuple[Fraction, ...]
     b_prime: Tuple[Fraction, ...]
     sign: int
@@ -312,14 +314,14 @@ def _base_table(a: RootMultiset, b: RootMultiset) -> tuple:
     as integers: (D, wa, wb, V, table).
 
     wa and wb are Ā and B̄ times their common denominator D, and V =
-    vand(wa) vand(wb). `table(s_a, s_b)` returns (pairs, exp). pairs maps
-    each pair of index tuples (A', B') of sizes (s_a, s_b) to (N, c):
+    vand(wa) vand(wb). `table(s_a, s_b)` maps each pair of index tuples
+    (A', B') of sizes (s_a, s_b) to the integers N c on the scaled roots:
     R(A excess, B̄ - B') R(Ā - A', B - B') / (R(A', Ā - A') R(B', B̄ - B'))
-    is N D^exp / V, and the coefficient of x^i in R(x, A') R(x, B') is
-    c_i D^(i - s_a - s_b). It leaves out the pairs whose N vanishes. It
-    runs as an outer split of Ā and, per A', an inner split of B̄ whose
-    element factors are the numerator's differences, so the pairs come in
-    A'-outer lexicographic order.
+    is N / V there, and c_i is the coefficient of x^i in R(x, A') R(x, B').
+    It leaves out the pairs whose N vanishes. It runs as an outer split of
+    Ā and, per A', an inner split of B̄ whose element factors are the
+    numerator's differences, so the pairs come in A'-outer lexicographic
+    order.
     """
     avals, bvals = a.distinct_values(), b.distinct_values()
     mult_a = [mult for _, mult in a.entries]
@@ -333,7 +335,7 @@ def _base_table(a: RootMultiset, b: RootMultiset) -> tuple:
     excess = [prod(c ** (ma - 1) for c, ma in zip(row, mult_a))
               for row in cross]
 
-    def table(s_a: int, s_b: int) -> tuple:
+    def table(s_a: int, s_b: int) -> dict:
         pairs = {}
         for ap, a_rest, outer in ta.splits((s_a, mbar - s_a), (None, None)):
             rest = [prod(row[i] for i in a_rest) for row in cross]
@@ -341,14 +343,10 @@ def _base_table(a: RootMultiset, b: RootMultiset) -> tuple:
             out_bp = [e * r ** mb for e, r, mb in zip(excess, rest, mult_b)]
             ap_roots = [wa[i] for i in ap]
             for bp, _, w in tb.splits((s_b, nbar - s_b), (in_bp, out_bp)):
-                # the coefficient of x^i is a product of s_a + s_b - i roots
-                pairs[ap, bp] = (w * outer, linear_product(
-                    ap_roots + [wb[j] for j in bp]))
-        # m'(n̄ - s_b) + (m̄ - s_a)(n - s_b) differences over s_a(m̄ - s_a)
-        # + s_b(n̄ - s_b)
-        return pairs, (s_a * (mbar - s_a) + s_b * (nbar - s_b)
-                       - (a.size - mbar) * (nbar - s_b)
-                       - (mbar - s_a) * (b.size - s_b))
+                num = w * outer
+                pairs[ap, bp] = [num * c for c in linear_product(
+                    ap_roots + [wb[j] for j in bp])]
+        return pairs
 
     return den, wa, wb, ta.vandermonde * tb.vandermonde, table
 
@@ -396,34 +394,41 @@ def _convolve(p: Sequence[int], q: Sequence[int]) -> List[int]:
 
 
 def _integer_terms(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
-    """(D, V, terms) for the multiset sum, V and D of `_base_table`.
+    """(dens, terms) for the multiset sum: a term (partition, A' idx,
+    B' idx, sign, coeffs) has the coefficient coeffs[j] / dens[j] of x^j.
 
-    A term (partition, A' idx, B' idx, sign, coeffs, exp) has the
-    coefficient coeffs[j] D^(exp + j) / V of x^j: coeffs is sign N J2 J3
-    (c ⋆ S) for the pair's N and c, s1 = S_t / D^(|λ1| - t) (`strip_sums`)
-    and s2, s3 = J / D^|λ| (`jacobi_trudi`), on A' + B' with the symbolic
-    point, (Ā - A') + B and A + (B̄ - B') less the rows R1 (shifted), R2
-    and R3; the collapsed regime has no Schur factors. The subset sizes fix
-    the pairs, N c and the e-vectors, the R1 block s1 per pair, and the R2
+    coeffs is sign N J2 J3 (c ⋆ S) on the roots scaled by D, for the
+    pair's N c of `_base_table`, the strip sums S of s1 (`strip_sums`) and
+    J2, J3 = s2, s3 (`jacobi_trudi`), on A' + B' with the symbolic point,
+    (Ā - A') + B and A + (B̄ - B') less the rows R1 (shifted), R2 and R3;
+    the collapsed regime has no Schur factors. The subset sizes fix the
+    pairs, N c and the e-vectors, the R1 block s1 per pair, and the R2
     block s2 per A' and s3 per B': each is computed once.
+
+    With x scaled by D too, a term is coeffs / V. Like the sum, each term is
+    homogeneous of degree δ = (m-d)(n-d) + d in the roots and x: the ratio's
+    numerator differences less its denominator's, s_a + s_b for the x-part
+    and |λ1| + |λ2| + |λ3|, which the sizes fix as ΣR1 + ΣR2 + ΣR3 =
+    r(r+1)/2, add up to δ, in both regimes, by s_a = r2+d-m',
+    s_b = r3+d-n' and r1+r2+r3 = m'+n'-d. Coefficient j has degree δ - j in
+    the roots, so dens[j] = V D^(δ-j).
     """
     m, n = a.size, b.size
     mbar, nbar = a.distinct_count, b.distinct_count
     window, sizes = _size_triples(a, b, d)
     den, wa, wb, vand, table = _base_table(a, b)
     a_all, b_all = scaled(a.values(), den), scaled(b.values(), den)
+    delta = (m - d) * (n - d) + d
+    dens = [vand * den ** (delta - j) for j in range(d + 1)]
 
     def terms() -> Iterator[tuple]:
         for r1, r2, r3, s_a, s_b in sizes:
-            pairs, exp = table(s_a, s_b)
-            pairs = [(idx, [num * c for c in xpart])
-                     for idx, (num, xpart) in pairs.items()]
-            exp -= s_a + s_b
+            pairs = list(table(s_a, s_b).items())
             if window is None:
                 sign = -1 if ((m - mbar) * (m - d)) % 2 else 1
                 for (a_idx, b_idx), poly in pairs:
-                    yield (IndexPartition(0, ((), (), ())), a_idx, b_idx,
-                           sign, [sign * c for c in poly], exp)
+                    yield (((), (), ()), a_idx, b_idx, sign,
+                           [sign * c for c in poly])
                 continue
             e1 = [elementary([wa[i] for i in a_idx] + [wb[j] for j in b_idx])
                   for (a_idx, b_idx), _ in pairs]
@@ -443,19 +448,18 @@ def _integer_terms(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
                       for (_, poly), e in zip(pairs, e1)]
                 for r2_block in combinations(rest, r2):
                     r3_block = tuple(i for i in rest if i not in r2_block)
-                    part = IndexPartition(r, (r1_block, r2_block, r3_block))
+                    part = (r1_block, r2_block, r3_block)
                     sign = sigma_sign(m, n, mbar, nbar, d, part)
                     lam2 = removal_partition(k, r2_block, mbar - s_a + n)
                     lam3 = removal_partition(k, r3_block, m + nbar - s_b)
-                    shift = exp - sum(lam1) - sum(lam2) - sum(lam3)
                     s2 = {i: jacobi_trudi(lam2, e) for i, e in e2.items()}
                     s3 = {j: jacobi_trudi(lam3, e) for j, e in e3.items()}
                     for ((a_idx, b_idx), _), poly in zip(pairs, x1):
                         f = sign * s2[a_idx] * s3[b_idx]
                         yield (part, a_idx, b_idx, sign,
-                               [f * c for c in poly], shift)
+                               [f * c for c in poly])
 
-    return den, vand, terms()
+    return dens, terms()
 
 
 def sylm_terms(a: RootMultiset, b: RootMultiset,
@@ -465,31 +469,27 @@ def sylm_terms(a: RootMultiset, b: RootMultiset,
     The regime follows from the input: the two-index terms of the collapsed
     formula when d >= m'+n', the triple-partition terms otherwise.
     """
-    den, vand, terms = _integer_terms(a, b, d)
+    dens, terms = _integer_terms(a, b, d)
     avals, bvals = a.distinct_values(), b.distinct_values()
     return (SylmTerm(part, tuple(avals[i] for i in a_idx),
                      tuple(bvals[j] for j in b_idx), sign,
-                     Poly(_over(c, vand, den, exp + j)
-                          for j, c in enumerate(coeffs)))
-            for part, a_idx, b_idx, sign, coeffs, exp in terms)
+                     Poly(Fraction(c, dens[j]) for j, c in enumerate(coeffs)))
+            for part, a_idx, b_idx, sign, coeffs in terms)
 
 
 def sylm(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
     """Multiset Sylvester single sum; equals (-1)^(d(m-d)) Sres_d.
 
-    The terms' integers are summed per exp, each of degree at most d (s1's
-    is at most λ1_1 <= d - s_a - s_b), and make one Fraction per coefficient.
+    The terms' integers, each of degree at most d (s1's is at most
+    λ1_1 <= d - s_a - s_b), are summed per coefficient over its one
+    denominator, which makes one Fraction per coefficient.
     """
-    den, vand, terms = _integer_terms(a, b, d)
-    sums: dict = {}
-    for *_, coeffs, exp in terms:
-        acc = sums.setdefault(exp, [0] * (d + 1))
+    dens, terms = _integer_terms(a, b, d)
+    acc = [0] * (d + 1)
+    for *_, coeffs in terms:
         for j, c in enumerate(coeffs):
             acc[j] += c
-    lo = min(sums, default=0)
-    return Poly(_over(sum(acc[j] * den ** (exp - lo)
-                          for exp, acc in sums.items()), vand, den, lo + j)
-                for j in range(d + 1))
+    return Poly(Fraction(c, v) for c, v in zip(acc, dens))
 
 
 # -- multivariate evaluators --------------------------------------------------

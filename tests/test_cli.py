@@ -454,6 +454,39 @@ class TestVerify:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["verify", "nope"])
 
+    def test_prop21_large_max_deg(self):
+        # prop21 caps |A| + |B| at 8; drawing each degree from 1..max-deg
+        # and rejecting the pairs over the cap ran for minutes at 100,000
+        out = run_subprocess("verify", "prop21", "--max-deg", "100000",
+                             "--count", "20", timeout=20)
+        assert out.returncode == 0, out
+
+
+class TestNegativeValues:
+    """A value that starts with '-' and then a digit or '.' is read as the
+    value of the option before it, as in its `=` form."""
+
+    @pytest.mark.parametrize("command, option, value, rest", [
+        ("sylm", "-a", "-1:1,0:1,3:1", ["-b", "2", "-d", "0"]),
+        ("sylm", "-b", "-3:2,1", ["-a", "0:2,5", "-d", "1"]),
+        ("sres", "-f", "-2,1", ["-g", "3,1", "-d", "0"]),
+        ("sres", "-g", "-.5,0,1", ["-f", "roots:1,2", "-d", "1"]),
+        ("syl-single", "-a", "-1/2,2", ["-b", "-3", "-d", "1"]),
+        ("syl-double", "-a", "-1,2", ["-b", "3", "-p", "1", "-q", "0"]),
+        ("schur", "--points", "-2,5", ["-k", "3", "-R", "2"]),
+    ])
+    def test_same_as_equals_form(self, capsys, command, option, value, rest):
+        split = run(capsys, command, option, value, *rest)
+        joined = run(capsys, command, f"{option}={value}", *rest)
+        assert split == joined
+        assert split[0] == 0 and split[2] == ""
+
+    def test_negative_d_still_refused(self, capsys):
+        rc, out, err = run(capsys, "sylm", "-a", "-1:1,0:1", "-b", "2",
+                           "-d", "-1")
+        assert (rc, out) == (2, "")
+        assert "d=-1 is negative" in err
+
 
 class TestUnmeetableFuzzConfig:
     """Configs no generator can meet exit 2, in a subprocess with a

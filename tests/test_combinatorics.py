@@ -3,11 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from sylres.combinatorics import (IndexPartition, check_sign_lemma,
-                                  enum_partitions3, enum_splits, sg_blocks,
-                                  sg_partition, sg_set, sigma_sign)
-from sylres.errors import (IndexOutOfRange, InvalidPartition,
-                           ShiftOutOfRange)
+from sylres.combinatorics import (check_sign_lemma, enum_partitions3,
+                                  enum_splits, sg_blocks, sg_set, sigma_sign)
+from sylres.errors import IndexOutOfRange, ShiftOutOfRange
 
 
 def ref_sg_set(r, subset):
@@ -77,15 +75,13 @@ class TestSgSet:
 
 class TestSgPartition:
     def test_identity_order(self):
-        p = IndexPartition(3, ((1, 2), (3,), ()))
-        assert sg_partition(p) == 1
+        assert sg_blocks(((1, 2), (3,), ())) == 1
 
     def test_one_inversion(self):
         assert sg_blocks(((2,), (1, 3))) == -1
 
     def test_all_in_last_block(self):
-        p = IndexPartition(4, ((), (), (1, 2, 3, 4)))
-        assert sg_partition(p) == 1
+        assert sg_blocks(((), (), (1, 2, 3, 4))) == 1
 
     def test_two_block_matches_sg_set(self):
         for r in range(1, 7):
@@ -94,47 +90,31 @@ class TestSgPartition:
                     comp = tuple(i for i in range(1, r + 1) if i not in sub)
                     assert sg_blocks((sub, comp)) == sg_set(r, sub)
 
-    def test_invalid(self):
-        with pytest.raises(InvalidPartition):
-            IndexPartition(2, ((1,), (1,), (2,)))
-        with pytest.raises(InvalidPartition):
-            IndexPartition(3, ((1,), (2,), ()))
-
 
 class TestSigmaSign:
     def test_all_empty_even_exponent(self):
         # m' + n' <= d: empty partition, sign (-1)^(m'(m-d))
-        p = IndexPartition(0, ((), (), ()))
-        assert sigma_sign(4, 4, 2, 4, 2, p) == 1  # m'=2 even
+        assert sigma_sign(4, 4, 2, 4, 2, ((), (), ())) == 1  # m'=2 even
 
     def test_hand_computed(self):
-        p = IndexPartition(1, ((), (1,), ()))
-        assert sigma_sign(3, 3, 2, 2, 1, p) == -1
-
-    def test_inconsistent_partition(self):
-        p = IndexPartition(2, ((), (1, 2), ()))
-        with pytest.raises(InvalidPartition):
-            sigma_sign(3, 3, 2, 2, 1, p)
+        assert sigma_sign(3, 3, 2, 2, 1, ((), (1,), ())) == -1
 
 
 class TestSignLemma:
     def test_single_element(self):
-        p = IndexPartition(1, ((1,), (), ()))
-        assert check_sign_lemma(1, 0, p)
+        assert check_sign_lemma(1, 0, ((1,), (), ()))
 
     def test_specific_shift(self):
-        p = IndexPartition(4, ((2,), (1, 3), (4,)))
-        assert check_sign_lemma(4, 1, p)
+        assert check_sign_lemma(4, 1, ((2,), (1, 3), (4,)))
 
     def test_shift_out_of_range(self):
-        p = IndexPartition(3, ((1,), (2,), (3,)))
         with pytest.raises(ShiftOutOfRange):
-            check_sign_lemma(3, 2, p)
+            check_sign_lemma(3, 2, ((1,), (2,), (3,)))
 
     def test_exhaustive_small(self):
         for r in range(1, 5):
             for part in enum_partitions3(r):
-                b1 = part.blocks[0]
+                b1 = part[0]
                 for s in range(0, r + 1):
                     if b1 and b1[0] - s < 1:
                         continue
@@ -145,4 +125,15 @@ def test_enum_partitions3_counts():
     for r in range(0, 6):
         parts = list(enum_partitions3(r))
         assert len(parts) == 3 ** r
-        assert len(set(p.blocks for p in parts)) == 3 ** r
+        assert len(set(parts)) == 3 ** r
+
+
+def is_partition(p, r):
+    """p is three sorted, disjoint index tuples that cover 1..r."""
+    return (len(p) == 3 and all(list(b) == sorted(set(b)) for b in p)
+            and sorted(i for b in p for i in b) == list(range(1, r + 1)))
+
+
+def test_enum_partitions3_are_partitions():
+    for r in range(0, 6):
+        assert all(is_partition(p, r) for p in enum_partitions3(r))

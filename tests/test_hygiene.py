@@ -28,13 +28,46 @@ def test_every_import_is_read(path):
     assert sorted(set(_imported(tree)) - read) == []
 
 
-def test_benchmark_tracer_names_resolve():
-    # `perfbench/run.py --trace 1` wraps these by name; a library change
-    # that removes one would crash the benchmark's per-layer mode
+def _tracing():
     path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_definition_is_read():
+    # a module-level function or class, or a method, that no library code
+    # reads is dead unless it is public (`__all__`) or the benchmark's
+    # tracer wraps it; dunder methods are read by the interpreter
+    read, defined = set(), []
+    for path in (Path(__file__).parent.parent / "src" / "sylres").glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, f"{node.name}.{sub.name}", sub.name)
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name, node.name))
+    held = set(importlib.import_module("sylres").__all__)
+    held |= {part for _, name in _tracing().TRACED
+             for part in name.split(".")}
+    unread = [(module, qualname) for module, qualname, name in defined
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in read and name not in held]
+    assert sorted(unread) == []
+
+
+def test_benchmark_tracer_names_resolve():
+    # `perfbench/run.py --trace 1` wraps these by name; a library change
+    # that removes one would crash the benchmark's per-layer mode
+    tracing = _tracing()
     for mod, name in tracing.TRACED:
         obj = importlib.import_module(f"sylres.{mod}")
         for attr in name.split("."):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sylres.combinatorics import IndexPartition, sigma_sign
+from sylres.combinatorics import sigma_sign
 from sylres.errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                            MultiplicityNotOne, TooFewElements)
 from sylres.poly import Poly
 from sylres.rootsets import RootMultiset, rprod, rprod_vals
-from sylres.schur import SchurSpec, schur_poly_x, schur_value
+from sylres.schur import (SchurSpec, removal_partition, schur_poly_x,
+                          schur_value)
 from sylres.sylvester import (SylmTerm, _base_table, _size_triples,
                               apery_jouanolou_rhs, apery_jouanolou_rhs_at,
                               exchange_rhs_at, exchange_rhs_eval,
@@ -19,6 +20,7 @@ from sylres.sylvester import (SylmTerm, _base_table, _size_triples,
                               syl_double, syl_single, sylm, sylm_term_bound,
                               sylm_terms, sym_interp_eval)
 from sylres.verify import _collapsed_double_sum, _symmetric_pool
+from test_combinatorics import is_partition
 from test_linalg import ref_det_p
 
 
@@ -149,12 +151,12 @@ class TestSylm:
         a = RM((0, 1), (1, 2))
         b = RM((2, 2))
         for term in sylm_terms(a, b, 2):
-            assert term.partition.blocks == ((), (), ())
+            assert term.partition == ((), (), ())
 
     def test_general_regime_has_nonempty_partitions(self):
         a = RM((0, 1), (1, 2))
         b = RM((2, 3))
-        assert any(any(term.partition.blocks)
+        assert any(any(term.partition)
                    for term in sylm_terms(a, b, 2))
 
     def test_forced_collapsed_below_range(self):
@@ -394,19 +396,28 @@ def ref_base_factor(a, b, ap_vals, bp_vals):
         return None
     den = rprod(ap, abar_rest) * rprod(bp, bbar_rest)
     xpart = Poly.from_roots(ap_vals) * Poly.from_roots(bp_vals)
-    return num / den, xpart
+    return xpart.scale(num / den)
+
+
+def base_degree(a, b, s_a, s_b):
+    """The degree in the roots and x of a pair's ratio times its x-part:
+    the differences of R(A excess, B̄ - B') R(Ā - A', B - B') less those of
+    R(A', Ā - A') R(B', B̄ - B'), plus s_a + s_b."""
+    mbar, nbar = a.distinct_count, b.distinct_count
+    return (s_a + s_b + (a.size - mbar) * (nbar - s_b)
+            + (mbar - s_a) * (b.size - s_b)
+            - s_a * (mbar - s_a) - s_b * (nbar - s_b))
 
 
 def base_table(a, b, s_a, s_b):
     """`_base_table` as the rationals its integers stand for: each pair
-    (A' idx, B' idx) to (N D^exp / V, the x-part with c_i D^(i-s_a-s_b)
-    as its coefficient of x^i)."""
+    (A' idx, B' idx) to its ratio times its x-part, whose coefficient of
+    x^i is N c_i / (V D^(deg - i))."""
     den, _, _, vand, table = _base_table(a, b)
-    pairs, exp = table(s_a, s_b)
-    return {pair: (F(num, vand) * F(den) ** exp,
-                   Poly(c * F(den) ** (i - s_a - s_b)
-                        for i, c in enumerate(xpart)))
-            for pair, (num, xpart) in pairs.items()}
+    deg = base_degree(a, b, s_a, s_b)
+    return {pair: Poly(F(c, vand) * F(den) ** (i - deg)
+                       for i, c in enumerate(coeffs))
+            for pair, coeffs in table(s_a, s_b).items()}
 
 
 def ref_terms_general(a, b, d):
@@ -437,7 +448,7 @@ def ref_terms_general(a, b, d):
                 rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
                 for r2_block in combinations(rest, r2):
                     r3_block = tuple(i for i in rest if i not in r2_block)
-                    part = IndexPartition(r, (r1_block, r2_block, r3_block))
+                    part = (r1_block, r2_block, r3_block)
                     sign = sigma_sign(m, n, mbar, nbar, d, part)
                     r1_shift = tuple(i - (m + n - 2 * d - 1)
                                      for i in r1_block)
@@ -450,7 +461,6 @@ def ref_terms_general(a, b, d):
                             base = base_of.get((a_idx, b_idx))
                             if base is None:
                                 continue
-                            ratio, xpart = base
                             s1 = schur_poly_x(SchurSpec(
                                 d + 1, r1_shift,
                                 RootMultiset.from_values(ap_vals + bp_vals),
@@ -463,7 +473,7 @@ def ref_terms_general(a, b, d):
                                 m + n - d, r3_block,
                                 RootMultiset(a.entries
                                              + bbar.difference(bp).entries)))
-                            value = (xpart * s1).scale(sign * ratio * s2 * s3)
+                            value = (base * s1).scale(sign * s2 * s3)
                             yield SylmTerm(part, ap_vals, bp_vals, sign,
                                            value)
 
@@ -482,11 +492,9 @@ def ref_terms_collapsed(a, b, d):
         for b_idx in combinations(range(len(bvals)), s_b):
             base = bases.get((a_idx, b_idx))
             if base is not None:
-                ratio, xpart = base
-                yield SylmTerm(IndexPartition(0, ((), (), ())),
-                               tuple(avals[i] for i in a_idx),
+                yield SylmTerm(((), (), ()), tuple(avals[i] for i in a_idx),
                                tuple(bvals[j] for j in b_idx), sign,
-                               xpart.scale(sign * ratio))
+                               base.scale(sign))
 
 
 def ref_sym_interp_eval(e, d, h, xs):
@@ -737,12 +745,15 @@ def test_sylm_terms_past_table_bound():
     assert sylm_term_bound(a, b, 0) == comb(12, 6)
 
 
+def shape(size, distinct):
+    """A multiset of `size` roots with `distinct` distinct values."""
+    return RootMultiset([(F(i), 1) for i in range(distinct - 1)]
+                        + [(F(distinct - 1), size - distinct + 1)])
+
+
 def test_size_triples_stay_in_range():
     # every subset size lies in 0..m̄ and 0..n̄, so no triple needs a filter;
     # the triples depend only on the degrees and distinct counts
-    def shape(size, distinct):
-        return RootMultiset([(F(i), 1) for i in range(distinct - 1)]
-                            + [(F(distinct - 1), size - distinct + 1)])
     shapes = 0
     for m in range(1, 11):
         for n in range(1, 11):
@@ -756,10 +767,62 @@ def test_size_triples_stay_in_range():
     assert shapes == 19657
 
 
+def test_every_term_has_the_degree_of_sres():
+    # the power of D that each term once carried, -(its ratio's degree +
+    # s_a + s_b + |λ1| + |λ2| + |λ3|), is -δ for every block triple, so one
+    # denominator V D^(δ-j) serves coefficient j of every term
+    triples = 0
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for mbar in range(1, m + 1):
+                for nbar in range(1, n + 1):
+                    a, b = shape(m, mbar), shape(n, nbar)
+                    for d in range(min(m, n) + (0 if m == n else 1)):
+                        delta = (m - d) * (n - d) + d
+                        window, sizes = _size_triples(a, b, d)
+                        for r1, r2, r3, s_a, s_b in sizes:
+                            deg = base_degree(a, b, s_a, s_b)
+                            if window is None:
+                                triples += 1
+                                assert deg == delta
+                                continue
+                            r, k = r1 + r2 + r3, m + n - d
+                            for r1_block in combinations(window, r1):
+                                lam1 = removal_partition(
+                                    d + 1, [i - window.start + 1
+                                            for i in r1_block],
+                                    s_a + s_b + 1)
+                                rest = [i for i in range(1, r + 1)
+                                        if i not in r1_block]
+                                for r2_block in combinations(rest, r2):
+                                    r3_block = [i for i in rest
+                                                if i not in r2_block]
+                                    lam2 = removal_partition(
+                                        k, r2_block, mbar - s_a + n)
+                                    lam3 = removal_partition(
+                                        k, r3_block, m + nbar - s_b)
+                                    triples += 1
+                                    assert (deg + sum(lam1) + sum(lam2)
+                                            + sum(lam3)) == delta
+    assert triples == 10628
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sylm_term_partitions_are_partitions(data):
+    # each term's (R1, R2, R3) is sorted, disjoint and covers 1..m'+n'-d
+    a = multiset(data.draw, data.draw(st.integers(1, 5)))
+    b = multiset(data.draw, data.draw(st.integers(1, 5)), a.distinct_values())
+    r0 = a.excess_count + b.excess_count
+    for d in range(min(a.size, b.size) + (0 if a.size == b.size else 1)):
+        for term in sylm_terms(a, b, d):
+            assert is_partition(term.partition, max(r0 - d, 0))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_sylm_sums_its_terms(data):
-    # sylm's integers summed per power of D against the Fractions of
+    # sylm's integers summed over one denominator against the Fractions of
     # sylm_terms, at every d; the bound counts every pair, and a pair drops
     # out only on a shared root
     a = multiset(data.draw, data.draw(st.integers(1, 6)))
