@@ -13,13 +13,15 @@ import argparse
 import json
 import re
 import sys
+from math import comb
 from typing import Callable
 
 from .errors import ParseError, SylresError, ValidationError
 from .io import parse_index_set, parse_multiset, parse_poly
 from .poly import Poly
 from .schur import SchurSpec, schur_poly_x, schur_value
-from .sylvester import sres_det, syl_double, syl_single, sylm, sylm_terms
+from .sylvester import (sres_det, syl_double, syl_single, sylm,
+                        sylm_term_bound, sylm_terms)
 from .verify import SUITE_NAMES, FuzzConfig, replay, run_suite
 
 
@@ -119,20 +121,33 @@ def _cmd_sres(args) -> int:
                                args.d), args.json)
 
 
+# Splits, split pairs or sylm terms a call may sum; at the cap about 2, 1 and
+# 13 s on 2 vCPUs for small sets. Negative d, p or q count 0 (DegreeWindow).
+_MAX_TERMS = 100_000
+
+
+def _check_terms(terms: int, what: str) -> None:
+    if terms > _MAX_TERMS:
+        raise ValidationError(f"{what} would sum {terms} terms, "
+                              f"above the cap of {_MAX_TERMS}")
+
+
 def _cmd_syl_single(args) -> int:
-    return _emit_poly(syl_single(parse_multiset(args.a),
-                                 parse_multiset(args.b), args.d), args.json)
+    a, b, d = parse_multiset(args.a), parse_multiset(args.b), args.d
+    _check_terms(comb(a.size, d) if d >= 0 else 0, "syl-single")
+    return _emit_poly(syl_single(a, b, d), args.json)
 
 
 def _cmd_syl_double(args) -> int:
-    return _emit_poly(syl_double(parse_multiset(args.a),
-                                 parse_multiset(args.b), args.p, args.q),
-                      args.json)
+    a, b, p, q = parse_multiset(args.a), parse_multiset(args.b), args.p, args.q
+    _check_terms(comb(a.size, p) * comb(b.size, q) if min(p, q) >= 0 else 0,
+                 "syl-double")
+    return _emit_poly(syl_double(a, b, p, q), args.json)
 
 
 def _cmd_sylm(args) -> int:
-    a = parse_multiset(args.a)
-    b = parse_multiset(args.b)
+    a, b = parse_multiset(args.a), parse_multiset(args.b)
+    _check_terms(sylm_term_bound(a, b, args.d), "sylm")
     if args.trace:
         terms = list(sylm_terms(a, b, args.d))
         total = sum((t.value for t in terms), Poly.zero())

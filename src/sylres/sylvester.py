@@ -12,8 +12,8 @@ over one Vandermonde product, and the kernel totals the later blocks' terms
 per first block. `_split_sum` sets it up for the sums over one set and derives
 their power of D. The points X of the evaluators are applied per evaluation,
 scaled by their own common denominator, as one product per first block. The
-`*_at` forms build a sum once, and the grid checks of `verify` build each side
-so once per record.
+`*_at` forms build a sum once, `syl_double_at` the blocks of each size of A
+and of B once for all (p, q), and `verify` builds them once per record.
 `sylm` runs in one of two regimes, chosen by its input alone: the collapsed
 two-index sum when d >= m'+n', the triple-partition sum otherwise. Only the
 literal two-index sum of `verify` applies the collapsed formula below its
@@ -245,49 +245,65 @@ def syl_single(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
     return Poly(over(c, k - d) for k, c in enumerate(coeffs))
 
 
-def syl_double(a: RootMultiset, b: RootMultiset, p: int, q: int) -> Poly:
-    """Sylvester double sum over subset pairs (A', B') of sizes (p, q).
-
-    Each pair contributes R(x, A') R(x, B') R(A', B') R(A-A', B-B') over
-    R(A', A-A') R(B', B-B'). It runs as an outer split of B and, per B',
-    an inner split of A whose element factors are the products of
-    (a_i - b_j) over j in B' and over j outside B'.
-    """
+def syl_double_at(a: RootMultiset,
+                  b: RootMultiset) -> Callable[[int, int], Poly]:
+    """Sylvester double sums over subset pairs (A', B') of sizes (p, q), as
+    a function of (p, q), after the set checks and the scaling. Each pair
+    contributes R(x, A') R(x, B') R(A', B') R(A-A', B-B') over R(A', A-A')
+    R(B', B-B'). The first call at a size p lists each A' with V_A // cross
+    times the coefficients of R(x, A'); the first at q lists each B' alike,
+    with the products in_bp, out_bp of (a_i - b_j) over j in and outside B'
+    per a_i. A pair costs in_bp over A' times out_bp over A - A'."""
     _require_set(a, "A")
     _require_set(b, "B")
     m, n = a.size, b.size
-    if not (0 <= p <= m and 0 <= q <= n):
-        raise DegreeWindow(f"(p,q)=({p},{q}) outside ({m},{n})")
     avals, bvals = a.distinct_values(), b.distinct_values()
     den = common_denominator(avals, bvals)
     wa, wb = scaled(avals, den), scaled(bvals, den)
     ta, tb = _DifferenceTable(wa), _DifferenceTable(wb)
     cross_ab = [[u - v for v in wb] for u in wa]
-    a_polys: dict[tuple, list[int]] = {}
-    coeffs = [0] * (p + q + 1)
-    for bp, b_rest, outer in tb.splits((q, n - q), (None, None)):
-        in_bp = [prod(row[j] for j in bp) for row in cross_ab]
-        out_bp = [prod(row[j] for j in b_rest) for row in cross_ab]
-        inner = [0] * (p + 1)
-        for ap, _, weight in ta.splits((p, m - p), (in_bp, out_bp)):
-            poly = a_polys.get(ap)
-            if poly is None:
-                poly = a_polys[ap] = linear_product([wa[i] for i in ap])
-            for k, c in enumerate(poly):
-                inner[k] += weight * c
-        if not any(inner):
-            continue
-        for j, c in enumerate(linear_product([wb[i] for i in bp])):
-            c *= outer
-            for k, e in enumerate(inner):
-                coeffs[j + k] += c * e
-    # The denominators have p(m-p) + q(n-q) differences, the numerators
-    # pq + (m-p)(n-q), and the coefficient of x^k in R(x, A') R(x, B') is a
-    # product of p+q-k roots.
-    exp = (p * (m - p) + q * (n - q) - p * q - (m - p) * (n - q)
-           - (p + q))
-    return Poly(_over(c, ta.vandermonde * tb.vandermonde, den, exp + k)
-                for k, c in enumerate(coeffs))
+    a_sides, b_sides = {}, {}
+
+    def double(p: int, q: int) -> Poly:
+        if not (0 <= p <= m and 0 <= q <= n):
+            raise DegreeWindow(f"(p,q)=({p},{q}) outside ({m},{n})")
+        if p not in a_sides:
+            a_sides[p] = [
+                (ap, a_rest, [outer * c for c in
+                              linear_product([wa[i] for i in ap])])
+                for ap, a_rest, outer in ta.splits((p, m - p), (None, None))]
+        if q not in b_sides:
+            b_sides[q] = [
+                ([prod(row[j] for j in bp) for row in cross_ab],
+                 [prod(row[j] for j in b_rest) for row in cross_ab],
+                 [outer * c for c in linear_product([wb[j] for j in bp])])
+                for bp, b_rest, outer in tb.splits((q, n - q), (None, None))]
+        coeffs = [0] * (p + q + 1)
+        for in_bp, out_bp, b_coeffs in b_sides[q]:
+            inner = [0] * (p + 1)
+            for ap, a_rest, a_coeffs in a_sides[p]:
+                weight = 1
+                for i in ap:
+                    weight *= in_bp[i]
+                for i in a_rest:
+                    weight *= out_bp[i]
+                if weight:
+                    for k, c in enumerate(a_coeffs):
+                        inner[k] += weight * c
+            for k, c in enumerate(_convolve(b_coeffs, inner)):
+                coeffs[k] += c
+        # With d = p+q, the denominators have d(m+n-d) - mn more differences
+        # than the numerators, and coefficient k has d-k roots.
+        exp = (p + q) * (m + n - p - q - 1) - m * n
+        return Poly(_over(c, ta.vandermonde * tb.vandermonde, den, exp + k)
+                    for k, c in enumerate(coeffs))
+
+    return double
+
+
+def syl_double(a: RootMultiset, b: RootMultiset, p: int, q: int) -> Poly:
+    """The Sylvester double sum: `syl_double_at(a, b)` at (p, q)."""
+    return syl_double_at(a, b)(p, q)
 
 
 # -- multiset Sylvester sum ----------------------------------------------------

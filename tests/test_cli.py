@@ -4,12 +4,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from sylres.cli import build_parser, main
+from sylres.cli import _MAX_TERMS, build_parser, main
 from sylres.errors import ValidationError
+from sylres.io import parse_multiset
 from sylres.poly import Poly
 from sylres.rationals import parse_rational
 from sylres.rootsets import RootMultiset
@@ -486,6 +488,56 @@ class TestNegativeValues:
                            "-d", "-1")
         assert (rc, out) == (2, "")
         assert "d=-1 is negative" in err
+
+
+SET24 = ",".join(str(v) for v in range(24))
+OTHER24 = ",".join(str(v) for v in range(100, 124))
+
+
+class TestTermCaps:
+    """A sum of more than _MAX_TERMS terms is refused before any work, in a
+    subprocess with a timeout, so that a call that starts the sum fails."""
+
+    @pytest.mark.parametrize("argv, terms", [
+        (["syl-double", "-a", SET24, "-b", OTHER24, "-p", "6", "-q", "6"],
+         comb(24, 6) ** 2),
+        (["syl-single", "-a", SET24, "-b", OTHER24, "-d", "12"],
+         comb(24, 12)),
+        (["sylm", "-a", "0:6,1:6", "-b", "2:6,3:6", "-d", "0"], 184_756),
+        (["sylm", "-a", "0:6,1:6", "-b", "2:6,3:6", "-d", "0", "--trace"],
+         184_756),
+    ])
+    def test_refused(self, argv, terms):
+        out = run_subprocess(*argv, timeout=20)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (f"error: {argv[0]} would sum {terms} terms, "
+                              f"above the cap of {_MAX_TERMS}\n")
+
+    def test_below_the_cap(self):
+        # 12,870 terms, which sylm sums in about 2 s; and verify's largest
+        # double sum, C(10, 5)^2 split pairs at |A| = |B| = 10
+        a, b = parse_multiset("0:5,1:5"), parse_multiset("2:5,3:5")
+        assert sylm_term_bound(a, b, 0) == 12_870 <= _MAX_TERMS
+        assert comb(10, 5) ** 2 <= _MAX_TERMS
+
+    @pytest.mark.parametrize("argv, message", [
+        (["syl-double", "-a", SET24, "-b", "3", "-p", "-1", "-q", "0"],
+         "(p,q)=(-1,0) outside (24,1)"),
+        (["syl-double", "-a", SET24, "-b", OTHER24, "-p", "-1", "-q", "6"],
+         "(p,q)=(-1,6) outside (24,24)"),
+        (["syl-double", "-a", "1,2", "-b", "3", "-p", "3", "-q", "0"],
+         "(p,q)=(3,0) outside (2,1)"),
+        (["syl-single", "-a", SET24, "-b", "3", "-d", "-1"],
+         "d=-1 outside 0..24"),
+        (["syl-single", "-a", "1,2", "-b", "3", "-d", "3"],
+         "d=3 outside 0..2"),
+        (["sylm", "-a", "0:6,1:6", "-b", "2:6,3:6", "-d", "-1"],
+         "d=-1 is negative"),
+        (["sylm", "-a", "0:6,1:6", "-b", "2:6,3:6", "-d", "12"],
+         "d=12 not below m=n=12"),
+    ])
+    def test_window_keeps_its_message(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestUnmeetableFuzzConfig:

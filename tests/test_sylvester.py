@@ -17,8 +17,8 @@ from sylres.sylvester import (SylmTerm, _base_table, _size_triples,
                               apery_jouanolou_rhs, apery_jouanolou_rhs_at,
                               exchange_rhs_at, exchange_rhs_eval,
                               single_sum_at, single_sum_eval, sres_det,
-                              syl_double, syl_single, sylm, sylm_term_bound,
-                              sylm_terms, sym_interp_eval)
+                              syl_double, syl_double_at, syl_single, sylm,
+                              sylm_term_bound, sylm_terms, sym_interp_eval)
 from sylres.verify import _collapsed_double_sum, _symmetric_pool
 from test_combinatorics import is_partition
 from test_linalg import ref_det_p
@@ -126,6 +126,20 @@ class TestSylDouble:
     def test_multiset_rejected(self):
         with pytest.raises(MultiplicityNotOne):
             syl_double(RM((1, 2)), sets(3), 1, 0)
+
+
+class TestSylDoubleAt:
+    def test_multiset_rejected_when_built(self):
+        for a, b in ((RM((1, 2)), sets(3)), (sets(3), RM((1, 2)))):
+            with pytest.raises(MultiplicityNotOne):
+                syl_double_at(a, b)
+
+    def test_window_checked_on_each_call(self):
+        double = syl_double_at(sets(1, 2), sets(2, 3))
+        for p, q in ((-1, 0), (3, 0), (0, 3), (0, -1), (3, 3)):
+            with pytest.raises(DegreeWindow, match=rf"\({p},{q}\) outside"):
+                double(p, q)
+            assert double(1, 0) == Poly([-4, 2])
 
 
 class TestSylm:
@@ -597,6 +611,22 @@ def test_syl_double_matches_reference(data):
     for p in range(a.size + 1):
         for q in range(b.size + 1):
             assert syl_double(a, b, p, q) == ref_syl_double(a, b, p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_syl_double_at_matches_reference_in_any_order(data):
+    # one prepared table, called at every (p, q) in a drawn order and then
+    # at drawn repeats: no call may depend on the sizes called before it
+    a = sets(*distinct(data.draw, data.draw(st.integers(0, 5))))
+    b = sets(*distinct(data.draw, data.draw(st.integers(0, 5)),
+                       a.distinct_values()))
+    sizes = [(p, q) for p in range(a.size + 1) for q in range(b.size + 1)]
+    order = (data.draw(st.permutations(sizes))
+             + data.draw(st.lists(st.sampled_from(sizes), max_size=8)))
+    double = syl_double_at(a, b)
+    for p, q in order:
+        assert double(p, q) == ref_syl_double(a, b, p, q)
 
 
 @settings(max_examples=30, deadline=None)
