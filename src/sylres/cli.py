@@ -116,32 +116,56 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# The side m+n-2d of the matrix sres_det eliminates: on 2 vCPUs, 5 s at the
+# cap and 27 s at 100, for d = 0 and f, g of equal degree with roots i/7 and
+# -i/5. Coefficient lists of small integers take well under 1 s at 160.
+_MAX_SIDE = 80
+
+
 def _cmd_sres(args) -> int:
-    return _emit_poly(sres_det(parse_poly(args.f), parse_poly(args.g),
-                               args.d), args.json)
+    f, g, d = parse_poly(args.f), parse_poly(args.g), args.d
+    # a constant or zero polynomial, or a negative d, gets the library's
+    # DegreeWindow message
+    if f.degree and g.degree and d >= 0:
+        side = f.degree + g.degree - 2 * d
+        if side > _MAX_SIDE:
+            raise ValidationError(f"sres would eliminate a matrix of side "
+                                  f"{side}, above the cap of {_MAX_SIDE}")
+    return _emit_poly(sres_det(f, g, d), args.json)
 
 
 # Splits, split pairs or sylm terms a call may sum; at the cap about 2, 1 and
 # 13 s on 2 vCPUs for small sets. Negative d, p or q count 0 (DegreeWindow).
 _MAX_TERMS = 100_000
+# The values of A (syl-single) or of A and B (syl-double) in a sum with
+# terms. Each term divides a Vandermonde product of k(k-1)/2 differences
+# and multiplies polynomials of degree p and q, so its cost grows with both:
+# at 18 values the slowest sum under the term cap, p = 18 and q = 10, took
+# 11 s on 2 vCPUs, and 23 s at 20 values; p = q = 1 on 80 values took 13 s.
+_MAX_SET_SIZE = 18
 
 
-def _check_terms(terms: int, what: str) -> None:
+def _check_terms(terms: int, what: str, **sizes: int) -> None:
     if terms > _MAX_TERMS:
         raise ValidationError(f"{what} would sum {terms} terms, "
                               f"above the cap of {_MAX_TERMS}")
+    if terms and max(sizes.values(), default=0) > _MAX_SET_SIZE:
+        raise ValidationError(
+            f"{what} needs {', '.join(f'|{k}|' for k in sizes)} <= "
+            f"{_MAX_SET_SIZE}; got "
+            f"{', '.join(f'|{k}|={v}' for k, v in sizes.items())}")
 
 
 def _cmd_syl_single(args) -> int:
     a, b, d = parse_multiset(args.a), parse_multiset(args.b), args.d
-    _check_terms(comb(a.size, d) if d >= 0 else 0, "syl-single")
+    _check_terms(comb(a.size, d) if d >= 0 else 0, "syl-single", A=a.size)
     return _emit_poly(syl_single(a, b, d), args.json)
 
 
 def _cmd_syl_double(args) -> int:
     a, b, p, q = parse_multiset(args.a), parse_multiset(args.b), args.p, args.q
     _check_terms(comb(a.size, p) * comb(b.size, q) if min(p, q) >= 0 else 0,
-                 "syl-double")
+                 "syl-double", A=a.size, B=b.size)
     return _emit_poly(syl_double(a, b, p, q), args.json)
 
 

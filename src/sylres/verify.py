@@ -4,6 +4,12 @@ Each suite is one `_SUITES` entry: a deterministic instance generator, a
 single-instance checker and the kind of each instance field, by which
 `decode_instance` decodes and bounds every instance, generated or replayed.
 Failures carry the instance as generated, so that it can be replayed alone.
+The Sres_d suites compare two `_ROUTES`, each signed to equal Sres_d: thm14
+`sres` (the determinant of the coefficients) with `sylm` (the multiset sum)
+and eq3 `sres` with `single` (the single sum over sets) at every admissible
+d, thm12 `sylm` with `collapsed` (the literal two-index sum) at its d; eq1
+and eq2 each double sum with (-1)^(p(m-d)) C(d, p) times `sres` or `single`.
+A failure names d and both routes, which share only generic arithmetic.
 Both sides of every multivariate identity are polynomial of per-variable
 degree <= d, so agreement on a per-variable grid of d+1 distinct points
 proves the identity.
@@ -80,13 +86,12 @@ class SuiteReport:
         return asdict(self)
 
     def human(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        lines = [f"[{status}] suite {self.suite}: {self.instances} instances,"
-                 f" {len(self.failures)} failures,"
+        lines = [f"[{'PASS' if self.ok else 'FAIL'}] suite {self.suite}: "
+                 f"{self.instances} instances, {len(self.failures)} failures,"
                  f" {self.wall_time:.2f}s"]
         lines.extend(f"  note: {n}" for n in self.notes)
-        for f in self.failures:
-            lines.append("  failure: " + json.dumps(f, sort_keys=True))
+        lines.extend("  failure: " + json.dumps(f, sort_keys=True)
+                     for f in self.failures)
         return "\n".join(lines)
 
 
@@ -106,17 +111,11 @@ def grid_check_identity(lhs: Callable[[tuple], Fraction],
         raise ValidationError(f"empty grid: {nvars} variables of "
                               f"per-variable degree {per_var_degree}")
     avoid_set = {qof(v) for v in avoid}
-    values: List[Fraction] = []
-    candidate = 0
-    while len(values) < per_var_degree + 1:
-        q = Fraction(candidate)
-        if q not in avoid_set:
-            values.append(q)
-        candidate += 1
-    for point in itertools.product(values, repeat=nvars):
-        if lhs(point) != rhs(point):
-            return False
-    return True
+    values = list(itertools.islice(
+        (q for q in map(Fraction, itertools.count()) if q not in avoid_set),
+        per_var_degree + 1))
+    return all(lhs(point) == rhs(point)
+               for point in itertools.product(values, repeat=nvars))
 
 
 # -- instance generation --------------------------------------------------------
@@ -207,19 +206,13 @@ def _valid_ds(m: int, n: int) -> range:
     return range(0, min(m, n) + (0 if m == n else 1))
 
 
-def _sres_sign(d: int, m: int) -> int:
-    return -1 if (d * (m - d)) % 2 else 1
-
-
 def _collapsed_double_sum(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
     """Literal two-index multiset sum, written out independently of sylm.
 
     It holds Sres_d only for d >= m'+n', the collapsed regime, but runs at
     any d >= m': the worked examples' negative case applies it below."""
-    abar, a_excess = a.split()
-    bbar, _ = b.split()
-    m = a.size
-    mp = a.excess_count
+    (abar, a_excess), (bbar, _) = a.split(), b.split()
+    m, mp = a.size, a.excess_count
     total = Poly.zero()
     for ap_vals in itertools.combinations(abar.distinct_values(), d - mp):
         ap = RootMultiset.from_values(ap_vals)
@@ -234,9 +227,6 @@ def _collapsed_double_sum(a: RootMultiset, b: RootMultiset, d: int) -> Poly:
             total = total + (Poly.from_roots(ap_vals)
                              * Poly.from_roots(bp_vals)).scale(num / den)
     return total.scale(-1 if (mp * (m - d)) % 2 else 1)
-
-
-# -- per-suite generators and checkers -----------------------------------------
 
 
 # sylm's terms per thm14 or thm12 record, by `sylm_term_bound`: at most 738
@@ -254,6 +244,60 @@ def _check_sylm_terms(a: RootMultiset, b: RootMultiset, ds) -> None:
                               f"above the cap of {_SYLM_MAX_TERMS}")
 
 
+# eq1 and eq2 replay the double sums at every (d, p): 1.4-1.8 s at |A| =
+# |B| = 10 on 2 vCPUs, and about four times as long per further root of each
+_SETS_MAX_SIZE = 10
+
+
+def _check_sets_size(a: RootMultiset, b: RootMultiset) -> None:
+    if max(a.size, b.size) > _SETS_MAX_SIZE:
+        raise ValidationError(f"eq1-eq3 need |A|, |B| <= {_SETS_MAX_SIZE}; "
+                              f"got |A|={a.size}, |B|={b.size}")
+
+
+# -- routes to Sres_d -------------------------------------------------------
+
+
+def _signed(route: Callable) -> Callable:
+    """Sres_d's builder by a root-side sum (a, b, d), times (-1)^(d(m-d))."""
+    return lambda a, b: lambda d: route(a, b, d).scale(
+        -1 if d * (a.size - d) % 2 else 1)
+
+
+# name -> (side, cost check (a, b, ds), builder (a, b) -> (d -> Sres_d)). The
+# builders read library functions as module globals when run, so that their
+# wrappers see every call. At d >= m'+n' sylm's bound counts collapsed's pairs.
+_ROUTES = {
+    "sres": ("coefficients", lambda a, b, ds: None,
+             lambda a, b: partial(sres_det, Poly.from_roots(a.values()),
+                                  Poly.from_roots(b.values()))),
+    "single": ("set sums", lambda a, b, ds: _check_sets_size(a, b),
+               _signed(lambda a, b, d: syl_single(a, b, d))),
+    "sylm": ("multiset sum", _check_sylm_terms,
+             _signed(lambda a, b, d: sylm(a, b, d))),
+    "collapsed": ("literal sum", _check_sylm_terms,
+                  _signed(_collapsed_double_sum)),
+}
+
+
+def _compare(x: str, y: str, inst: dict,
+             ds: Optional[Sequence[int]] = None) -> dict:
+    """Routes x and y at each d of ds (default: every valid d) to a failure."""
+    a, b = inst["a"], inst["b"]
+    ds = _valid_ds(a.size, b.size) if ds is None else ds
+    for _, cost, _ in (_ROUTES[x], _ROUTES[y]):
+        cost(a, b, ds)
+    at_x, at_y = (_ROUTES[name][2](a, b) for name in (x, y))
+    for d in ds:
+        vx, vy = at_x(d), at_y(d)
+        if vx != vy:
+            return {"ok": False, "d": d, x: vx.to_json(), y: vy.to_json()}
+    return {"ok": True}
+
+
+# -- per-suite generators and checkers -----------------------------------------
+
+
 def _check_sylm_deg(cfg: FuzzConfig) -> None:
     if cfg.max_deg > _SYLM_MAX_DEG:
         raise ValidationError(f"thm14 and thm12 need max degree <= "
@@ -268,42 +312,14 @@ def _gen_thm14(cfg: FuzzConfig):
         yield {"a": a.to_shorthand(), "b": b.to_shorthand()}
 
 
-# eq1 and eq2 replay the double sums at every (d, p): 1.4-1.8 s at |A| =
-# |B| = 10 on 2 vCPUs, and about four times as long per further root of each
-_SETS_MAX_SIZE = 10
-
-
-def _check_sets_size(a: RootMultiset, b: RootMultiset) -> None:
-    if max(a.size, b.size) > _SETS_MAX_SIZE:
-        raise ValidationError(f"eq1-eq3 need |A|, |B| <= {_SETS_MAX_SIZE}; "
-                              f"got |A|={a.size}, |B|={b.size}")
-
-
-def _check_sres(inst: dict, by_sylm: bool) -> dict:
-    """Sres_d against (-1)^(d(m-d)) times sylm (thm14, which also names
-    the regimes the checked ds reached) or the single sum (eq3), at every
-    admissible d."""
+def _check_thm14(inst: dict) -> dict:
+    """sres against sylm, and the regimes of the ds checked up to a failure."""
     a, b = inst["a"], inst["b"]
-    m = a.size
-    if by_sylm:
-        _check_sylm_terms(a, b, _valid_ds(m, b.size))
-    else:
-        _check_sets_size(a, b)
-    f, g = Poly.from_roots(a.values()), Poly.from_roots(b.values())
-    side, key = ((sylm, "sylm_signed") if by_sylm
-                 else (syl_single, "single_signed"))
-    out, seen = {"ok": True}, set()
-    for d in _valid_ds(m, b.size):
-        seen.add("collapsed" if a.excess_count + b.excess_count <= d
-                 else "general")
-        lhs = sres_det(f, g, d)
-        rhs = side(a, b, d).scale(_sres_sign(d, m))
-        if lhs != rhs:
-            out = {"ok": False, "d": d, "sres": lhs.to_json(),
-                   key: rhs.to_json()}
-            break
-    if by_sylm:
-        out["regimes"] = sorted(seen)
+    out = _compare("sres", "sylm", inst)
+    last = out.get("d", _valid_ds(a.size, b.size)[-1])
+    excess = a.excess_count + b.excess_count
+    out["regimes"] = sorted({"collapsed" if excess <= d else "general"
+                             for d in range(last + 1)})
     return out
 
 
@@ -313,8 +329,7 @@ def _gen_thm12(cfg: FuzzConfig):
     produced = 0
     while produced < cfg.count:
         a, b = _rand_pair(rng, cfg, force_repeat=produced % 2 == 0)
-        m, n = a.size, b.size
-        ds = [d for d in _valid_ds(m, n)
+        ds = [d for d in _valid_ds(a.size, b.size)
               if d >= a.excess_count + b.excess_count]
         if not ds:
             continue
@@ -325,17 +340,10 @@ def _gen_thm12(cfg: FuzzConfig):
 
 def _check_thm12(inst: dict) -> dict:
     a, b, d = inst["a"], inst["b"], inst["d"]
-    excess = a.excess_count + b.excess_count
-    if d < excess:
+    if d < (excess := a.excess_count + b.excess_count):
         raise ValidationError(
             f"thm12 needs d >= m'+n' = {excess}, got d={d}")
-    _check_sylm_terms(a, b, [d])
-    value = sylm(a, b, d)
-    independent = _collapsed_double_sum(a, b, d)
-    if value != independent:
-        return {"ok": False, "sylm": value.to_json(),
-                "double_sum": independent.to_json()}
-    return {"ok": True}
+    return _compare("sylm", "collapsed", inst, [d])
 
 
 def _gen_sets(cfg: FuzzConfig):
@@ -348,25 +356,23 @@ def _gen_sets(cfg: FuzzConfig):
         yield {"a": a.to_shorthand(), "b": b.to_shorthand()}
 
 
-def _check_double(inst: dict, by_sres: bool) -> dict:
-    """Each double sum with p + q = d against C(d, p) times, up to sign,
-    Sres_d (eq1, sign exponent p) or the single sum (eq2, exponent q)."""
-    a, b = inst["a"], inst["b"]
+def _check_double(ref: str, inst: dict) -> dict:
+    """Each double sum with p + q = d against (-1)^(p(m-d)) C(d, p) Sres_d,
+    by route `ref` (eq1: sres, eq2: single)."""
+    a, b, (_, cost, build) = inst["a"], inst["b"], _ROUTES[ref]
+    m, n, ds = a.size, b.size, _valid_ds(a.size, b.size)
     _check_sets_size(a, b)
-    m, n = a.size, b.size
-    if by_sres:
-        f, g = Poly.from_roots(a.values()), Poly.from_roots(b.values())
-    double = syl_double_at(a, b)
-    for d in _valid_ds(m, n):
-        ref = sres_det(f, g, d) if by_sres else syl_single(a, b, d)
+    cost(a, b, ds)
+    at, double = build(a, b), syl_double_at(a, b)
+    for d in ds:
+        sres = at(d)
         for p in range(max(0, d - n), min(d, m) + 1):
-            q = d - p
-            sign = -1 if ((p if by_sres else q) * (m - d)) % 2 else 1
-            expect = ref.scale(sign * comb(d, p))
-            got = double(p, q)
+            expect = sres.scale((-1 if p * (m - d) % 2 else 1) * comb(d, p))
+            got = double(p, d - p)
             if got != expect:
-                return {"ok": False, "d": d, "p": p, "q": q,
-                        "double": got.to_json(), "expected": expect.to_json()}
+                return {"ok": False, "d": d, "p": p, "q": d - p,
+                        "double": got.to_json(), "expected": expect.to_json(),
+                        "reference": ref}
     return {"ok": True}
 
 
@@ -438,10 +444,9 @@ def _gen_prop21(cfg: FuzzConfig):
         nx = rng.randint(1, 2)
         bound = max(nx + d, m + n - d, m)
         esize = bound + i % 3
-        e_vals = _sample_distinct(rng, esize, cfg.coeff_bound + 4,
-                                  avoid=a.distinct_values()
-                                  + b.distinct_values())
-        e = RootMultiset.from_values(e_vals)
+        e = RootMultiset.from_values(_sample_distinct(
+            rng, esize, cfg.coeff_bound + 4,
+            avoid=a.distinct_values() + b.distinct_values()))
         yield {"a": a.to_shorthand(), "b": b.to_shorthand(),
                "e": e.to_shorthand(), "d": d, "nx": nx}
 
@@ -497,12 +502,9 @@ def _check_prop23(inst: dict) -> dict:
         raise ValidationError(
             f"prop23 needs |E| <= {_PROP23_MAX_E}, got |E|={e.size}")
     for name, h in _symmetric_pool(d, len(xs)):
-        got = sym_interp_eval(e, d, h, xs)
-        want = h(xs)
+        got, want = sym_interp_eval(e, d, h, xs), h(xs)
         if got != want:
-            return {"ok": False, "h": name,
-                    "got": str(got),
-                    "want": str(want)}
+            return {"ok": False, "h": name, "got": str(got), "want": str(want)}
     return {"ok": True}
 
 
@@ -584,27 +586,25 @@ def _check_examples(inst: dict) -> dict:
                               f"got {a1}, {a2}, {b1}")
     a = RootMultiset([(a1, 1), (a2, 2)])
     f = Poly.from_roots(a.values())
-    # large-d case: g = (x - b1)^2, d = 2 -> SylM equals g exactly
-    b_small = RootMultiset([(b1, 2)])
-    g_small = Poly.from_roots(b_small.values())
-    if sylm(a, b_small, 2).scale(_sres_sign(2, 3)) != g_small:
-        return {"ok": False, "case": "d in range"}
-    if sres_det(f, g_small, 2) != g_small:
-        return {"ok": False, "case": "sres oracle, d in range"}
-    # general case: g = (x - b1)^3, d = 2 -> SylM equals g - f
-    b_big = RootMultiset([(b1, 3)])
-    g_big = Poly.from_roots(b_big.values())
-    if sylm(a, b_big, 2).scale(_sres_sign(2, 3)) != g_big - f:
-        return {"ok": False, "case": "d below excess bound"}
+    b_small, b_big = RootMultiset([(b1, 2)]), RootMultiset([(b1, 3)])
+    g_small, g_big = (Poly.from_roots(b.values()) for b in (b_small, b_big))
+    # large-d case: g = (x - b1)^2, d = 2 -> Sres_2 = g, by sylm and sres;
+    # general case: g = (x - b1)^3, d = 2 -> Sres_2 = g - f
+    for case, name, b, want in (
+            ("d in range", "sylm", b_small, g_small),
+            ("sres oracle, d in range", "sres", b_small, g_small),
+            ("d below excess bound", "sylm", b_big, g_big - f)):
+        if _ROUTES[name][2](a, b)(2) != want:
+            return {"ok": False, "case": case}
     # negative case: the collapsed formula forced below its range, by the
     # literal two-index sum, is a multiple of (x - b1) and differs from the
     # true subresultant
-    forced = _collapsed_double_sum(a, b_big, 2)
+    forced = _ROUTES["collapsed"][2](a, b_big)(2)
     try:
         forced.exact_div(Poly.from_roots([b1]))
     except NotDivisible:
         return {"ok": False, "case": "forced value not divisible by (x-b1)"}
-    if forced.scale(_sres_sign(2, 3)) == g_big - f:
+    if forced == g_big - f:
         return {"ok": False, "case": "forced value unexpectedly correct"}
     return {"ok": True}
 
@@ -615,11 +615,11 @@ def _check_examples(inst: dict) -> dict:
 # is a list of items of that kind; (kind, default) may be omitted.
 _PAIR = {"a": RootMultiset, "b": RootMultiset}
 _SUITES = {
-    "thm14": (_gen_thm14, partial(_check_sres, by_sylm=True), _PAIR),
+    "thm14": (_gen_thm14, _check_thm14, _PAIR),
     "thm12": (_gen_thm12, _check_thm12, {**_PAIR, "d": int}),
-    "eq1": (_gen_sets, partial(_check_double, by_sres=True), _PAIR),
-    "eq2": (_gen_sets, partial(_check_double, by_sres=False), _PAIR),
-    "eq3": (_gen_sets, partial(_check_sres, by_sylm=False), _PAIR),
+    "eq1": (_gen_sets, partial(_check_double, "sres"), _PAIR),
+    "eq2": (_gen_sets, partial(_check_double, "single"), _PAIR),
+    "eq3": (_gen_sets, partial(_compare, "sres", "single"), _PAIR),
     "lemma24": (_gen_lemma24, _check_lemma24, {
         **_PAIR, "d": int, "nx": range(0, 3), "part": range(1, 3)}),
     "prop21": (_gen_prop21, _check_prop21, {
@@ -720,5 +720,4 @@ def decode_instance(name: str, inst: dict) -> dict:
 
 def replay(name: str, inst: dict) -> dict:
     """Re-run a single recorded instance for the given suite."""
-    full = decode_instance(name, inst)
-    return _SUITES[name][1](full)
+    return _SUITES[name][1](decode_instance(name, inst))

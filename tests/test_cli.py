@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from sylres.cli import _MAX_TERMS, build_parser, main
+from sylres.cli import (_MAX_SET_SIZE, _MAX_SIDE, _MAX_TERMS, build_parser,
+                        main)
 from sylres.errors import ValidationError
-from sylres.io import parse_multiset
+from sylres.io import _MAX_ROOTS, parse_multiset
 from sylres.poly import Poly
 from sylres.rationals import parse_rational
 from sylres.rootsets import RootMultiset
@@ -512,6 +513,39 @@ class TestTermCaps:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == (f"error: {argv[0]} would sum {terms} terms, "
                               f"above the cap of {_MAX_TERMS}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        # 19,900 splits, but each divides a product of 19,900 differences
+        (["syl-single", "-a", ",".join(map(str, range(200))), "-b", "-1",
+          "-d", "2"], f"syl-single needs |A| <= {_MAX_SET_SIZE}; got |A|=200"),
+        (["syl-double", "-a", ",".join(map(str, range(80))),
+          "-b", ",".join(map(str, range(100, 180))), "-p", "1", "-q", "1"],
+         f"syl-double needs |A|, |B| <= {_MAX_SET_SIZE}; "
+         f"got |A|=80, |B|=80"),
+        # refused before the product of 100,000 roots is formed
+        (["sres", "-f", "1,2", "-g", "roots:1:99999,-1", "-d", "3"],
+         f"roots: takes at most {_MAX_ROOTS} roots with multiplicity, "
+         f"got 100000"),
+        (["sres", "-f", ",".join(["1"] * 51), "-g", ",".join(["2"] * 51),
+          "-d", "0"],
+         f"sres would eliminate a matrix of side 100, above the cap of "
+         f"{_MAX_SIDE}"),
+    ])
+    def test_refused_by_size(self, argv, message):
+        out = run_subprocess(*argv, timeout=20)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {message}\n"
+
+    def test_at_the_size_caps(self, capsys):
+        top = ",".join(map(str, range(_MAX_SET_SIZE)))
+        other = ",".join(map(str, range(100, 100 + _MAX_SET_SIZE)))
+        assert run(capsys, "syl-double", "-a", top, "-b", other,
+                   "-p", "1", "-q", "1")[0] == 0
+        roots = ",".join(f"{i}/7" for i in range(_MAX_ROOTS))
+        assert run(capsys, "sres", "-f", f"roots:{roots}", "-g", "roots:1,2",
+                   "-d", "1")[0] == 0
+        side = ",".join(["1"] * (_MAX_SIDE // 2 + 1))
+        assert run(capsys, "sres", "-f", side, "-g", side, "-d", "0")[0] == 0
 
     def test_below_the_cap(self):
         # 12,870 terms, which sylm sums in about 2 s; and verify's largest
