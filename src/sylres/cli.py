@@ -19,7 +19,8 @@ from typing import Callable
 from .errors import ParseError, SylresError, ValidationError
 from .io import parse_index_set, parse_multiset, parse_poly
 from .poly import Poly
-from .schur import SchurSpec, schur_poly_x, schur_value
+from .rationals import common_denominator, scaled
+from .schur import SchurSpec, evaluation_size, schur_poly_x, schur_value
 from .sylvester import (sres_det, syl_double, syl_single, sylm,
                         sylm_term_bound, sylm_terms)
 from .verify import SUITE_NAMES, FuzzConfig, replay, run_suite
@@ -120,17 +121,49 @@ def build_parser() -> argparse.ArgumentParser:
 # cap and 27 s at 100, for d = 0 and f, g of equal degree with roots i/7 and
 # -i/5. Coefficient lists of small integers take well under 1 s at 160.
 _MAX_SIDE = 80
+# The elimination makes about side^2 * width integer updates, width being
+# m+n-d, on integers of up to `bits` bits: (n-d) rows of f's and (m-d) rows
+# of g's coefficients, each scaled to integers. An update costs about
+# bits^2 for its exact division, plus a fixed interpreter cost worth 2e6.
+# Near the cap on 2 vCPUs: 13 s for random 174-bit coefficients at side 80,
+# 11 s for 988-bit ones at side 40, 11 s for small ones at side 80 and
+# width 7,040. The 61 coefficients of roots i/7 and -i/5 at d = 20 (3e14)
+# took 19 s, and those of 40 such roots at d = 0 (8.9e13) 6 s.
+_MAX_SRES_WORK = 10 ** 14
+
+
+def _coefficient_bits(p: Poly) -> int:
+    """The bit length of p's largest coefficient, over its common
+    denominator."""
+    return max(abs(c).bit_length()
+               for c in scaled(p.coeffs, common_denominator(p.coeffs)))
+
+
+def _check_sres(f: Poly, g: Poly, d: int) -> None:
+    # a constant or zero polynomial, or a negative d, gets the library's
+    # DegreeWindow message, and so does a d above min(m, n) under the side
+    # cap
+    if not (f.degree and g.degree and d >= 0):
+        return
+    m, n = f.degree, g.degree
+    side, width = m + n - 2 * d, m + n - d
+    if side > _MAX_SIDE:
+        raise ValidationError(f"sres would eliminate a matrix of side "
+                              f"{side}, above the cap of {_MAX_SIDE}")
+    if d > min(m, n):
+        return
+    bits = (n - d) * _coefficient_bits(f) + (m - d) * _coefficient_bits(g)
+    work = side ** 2 * width * (bits ** 2 + 2_000_000)
+    if work > _MAX_SRES_WORK:
+        raise ValidationError(
+            f"sres would eliminate a matrix of side {side} and width "
+            f"{width} on integers of up to {bits} bits; its work {work} is "
+            f"above the cap of {_MAX_SRES_WORK}")
 
 
 def _cmd_sres(args) -> int:
     f, g, d = parse_poly(args.f), parse_poly(args.g), args.d
-    # a constant or zero polynomial, or a negative d, gets the library's
-    # DegreeWindow message
-    if f.degree and g.degree and d >= 0:
-        side = f.degree + g.degree - 2 * d
-        if side > _MAX_SIDE:
-            raise ValidationError(f"sres would eliminate a matrix of side "
-                                  f"{side}, above the cap of {_MAX_SIDE}")
+    _check_sres(f, g, d)
     return _emit_poly(sres_det(f, g, d), args.json)
 
 
@@ -201,10 +234,40 @@ def _render_trace(terms, total: Poly, as_json: bool) -> str:
     return "\n".join(lines)
 
 
+# The points of a schur call, with multiplicity: their e_j alone took 1 s
+# on 2 vCPUs for 1,000 values of 40 bits, 4 s for 4,000 ones, and 48 s for
+# 600 values i/(i+1).
+_MAX_POINTS = 1000
+# The bits of `evaluation_size`, and its dets * side^3 * bits as the work.
+# The slowest admitted call measured on 2 vCPUs, lambda = (50^30) on 30
+# points of 29 bits (6e9), took 10 s; lambda = (80^80) on 1/3:40,2/7:40
+# (64,000 bits) took 9 s, and the 16,384 strips of (14, 13, ..., 1) with
+# the symbolic point (3.3e10) 7 s.
+_MAX_SCHUR_BITS = 50_000
+_MAX_SCHUR_WORK = 8_000_000_000
+
+
+def _check_schur(spec: SchurSpec) -> None:
+    if spec.points.size > _MAX_POINTS:
+        raise ValidationError(f"schur takes at most {_MAX_POINTS} points "
+                              f"with multiplicity, got {spec.points.size}")
+    dets, side, bits = evaluation_size(spec)
+    if bits > _MAX_SCHUR_BITS:
+        raise ValidationError(f"schur would compute integers of up to {bits} "
+                              f"bits, above the cap of {_MAX_SCHUR_BITS}")
+    work = dets * side ** 3 * bits
+    if work > _MAX_SCHUR_WORK:
+        raise ValidationError(
+            f"schur would evaluate {dets} Jacobi-Trudi determinants of side "
+            f"{side} on {bits}-bit integers; their work {work} is above the "
+            f"cap of {_MAX_SCHUR_WORK}")
+
+
 def _cmd_schur(args) -> int:
     points = parse_multiset(args.points)
     removed = parse_index_set(args.R)
     spec = SchurSpec(args.k, removed, points, with_x=args.with_x)
+    _check_schur(spec)
     if args.with_x:
         return _emit_poly(schur_poly_x(spec), args.json)
     value = schur_value(spec)

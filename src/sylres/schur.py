@@ -22,7 +22,9 @@ coefficient.
 `SchurSpec`, and make its integers Fractions. `sylm` calls the integer
 functions themselves (`elementary`, `removal_partition`, `jacobi_trudi`,
 `strip_sums`) once per factor at the loop level that fixes its removed rows,
-and keeps each factor an integer over its power of D.
+and keeps each factor an integer over its power of D. `evaluation_size`
+gives the size of a spec's evaluation before any of it runs, for the
+command line's caps.
 
 The determinant ratio itself is `schur_vandermonde_ratio`, the reference of
 `schur_consistency_check`. With the symbolic point it is an exact polynomial
@@ -31,7 +33,6 @@ division, which must leave no remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -42,6 +43,7 @@ from .linalg import (det_p, det_q, det_z, remove_rows,
                      vandermonde_confluent, vandermonde_confluent_with_x)
 from .poly import Poly, linear_product
 from .rationals import Q1, common_denominator, scaled
+from .records import Frozen
 from .rootsets import RootMultiset
 
 # Entries kept by each of the two caches below. Unbounded, they would grow
@@ -49,24 +51,24 @@ from .rootsets import RootMultiset
 SCHUR_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class SchurSpec:
-    k: int
-    removed: Tuple[int, ...]  # sorted row indices in 1..k
-    points: RootMultiset
-    with_x: bool = False
+class SchurSpec(Frozen):
+    """The Schur ratio with rows `removed` (indices in 1..k, stored sorted)
+    removed from V_k of `points`, and one symbolic point when `with_x`.
+    Immutable and hashable: the key of the caches below."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "removed", tuple(sorted(self.removed)))
-        expected = self.k - (self.points.size + (1 if self.with_x else 0))
-        if len(self.removed) != expected or len(set(self.removed)) != len(self.removed):
+    __slots__ = ("k", "removed", "points", "with_x")
+
+    def __init__(self, k: int, removed: Sequence[int], points: RootMultiset,
+                 with_x: bool = False):
+        removed = tuple(sorted(removed))
+        expected = k - (points.size + (1 if with_x else 0))
+        if len(removed) != expected or len(set(removed)) != len(removed):
             raise InconsistentRemovalCount(
-                f"need {expected} removed rows for k={self.k}, "
-                f"got {self.removed}")
-        if self.removed and not (1 <= self.removed[0]
-                                 and self.removed[-1] <= self.k):
+                f"need {expected} removed rows for k={k}, got {removed}")
+        if removed and not (1 <= removed[0] and removed[-1] <= k):
             raise InconsistentRemovalCount(
-                f"removed rows {self.removed} outside 1..{self.k}")
+                f"removed rows {removed} outside 1..{k}")
+        super().__init__(k, removed, points, with_x)
 
 
 def removal_partition(k: int, removed: Sequence[int],
@@ -117,6 +119,28 @@ def _scaled_points(points: RootMultiset) -> Tuple[List[int], int]:
     as integers, and D."""
     den = common_denominator(points.distinct_values())
     return scaled(points.values(), den), den
+
+
+def evaluation_size(spec: SchurSpec) -> Tuple[int, int, int]:
+    """(dets, side, bits) of the kernel's evaluation of `spec`, from its
+    sizes alone.
+
+    dets is the number of Jacobi-Trudi determinants, one per horizontal
+    strip with the symbolic point and one without; side is lambda_1, the
+    side of the largest. bits is max(|lambda|, r) times the bit length of
+    the sum S of |w| over the r scaled points w (at least 1): e_j(w) is at
+    most S^j, and s_lambda(w) at most S^|lambda|.
+    """
+    points = spec.points
+    lam = removal_partition(spec.k, spec.removed,
+                            points.size + (1 if spec.with_x else 0))
+    dets = 1
+    if spec.with_x:
+        for j in range(len(lam) - 1):
+            dets *= lam[j] - lam[j + 1] + 1
+    w, _ = _scaled_points(points)
+    bits = max(sum(lam), points.size) * max(sum(map(abs, w)), 1).bit_length()
+    return dets, lam[0] if lam else 0, bits
 
 
 @lru_cache(maxsize=SCHUR_CACHE_SIZE)

@@ -32,11 +32,11 @@ test references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .combinatorics import Partition3, enum_splits, sigma_sign
 from .errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
@@ -309,8 +309,7 @@ def syl_double(a: RootMultiset, b: RootMultiset, p: int, q: int) -> Poly:
 # -- multiset Sylvester sum ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SylmTerm:
+class SylmTerm(NamedTuple):
     """One audited term of the multiset sum.
 
     `partition` is (R1, R2, R3), all empty in the collapsed regime.

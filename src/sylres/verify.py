@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -31,6 +30,7 @@ from .errors import NotDivisible, UnknownSuite, ValidationError
 from .io import parse_multiset
 from .poly import Poly
 from .rationals import qof
+from .records import Frozen, Record
 from .rootsets import RootMultiset, rprod
 from .schur import schur_consistency_check
 from .sylvester import (apery_jouanolou_rhs_at, exchange_rhs_at,
@@ -40,8 +40,7 @@ from .sylvester import (apery_jouanolou_rhs_at, exchange_rhs_at,
 import random
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(Frozen):
     """What the generators draw: `count` instances of degree at most
     `max_deg`, on rationals p/q with |p| and q at most `coeff_bound`.
 
@@ -53,37 +52,45 @@ class FuzzConfig:
     met draws the same instances whether or not the checks run.
     """
 
-    seed: int = 0
-    count: int = 50
-    max_deg: int = 6
-    coeff_bound: int = 8
-    allow_shared_roots: bool = True
+    __slots__ = ("seed", "count", "max_deg", "coeff_bound",
+                 "allow_shared_roots")
 
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValidationError(f"count must be >= 0, got {self.count}")
-        if self.max_deg < 1:
+    def __init__(self, seed: int = 0, count: int = 50, max_deg: int = 6,
+                 coeff_bound: int = 8, allow_shared_roots: bool = True):
+        if count < 0:
+            raise ValidationError(f"count must be >= 0, got {count}")
+        if max_deg < 1:
+            raise ValidationError(f"max degree must be >= 1, got {max_deg}")
+        if coeff_bound < 1:
             raise ValidationError(
-                f"max degree must be >= 1, got {self.max_deg}")
-        if self.coeff_bound < 1:
-            raise ValidationError(
-                f"coefficient bound must be >= 1, got {self.coeff_bound}")
+                f"coefficient bound must be >= 1, got {coeff_bound}")
+        super().__init__(seed, count, max_deg, coeff_bound,
+                         allow_shared_roots)
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    instances: int = 0
-    failures: List[dict] = field(default_factory=list)
-    wall_time: float = 0.0
-    notes: List[str] = field(default_factory=list)
+class SuiteReport(Record):
+    """One suite run: its instance count, failure records, run time and
+    notes, filled in as the run goes."""
+
+    __slots__ = ("suite", "instances", "failures", "wall_time", "notes")
+
+    def __init__(self, suite: str, instances: int = 0,
+                 failures: Optional[List[dict]] = None,
+                 wall_time: float = 0.0, notes: Optional[List[str]] = None):
+        self.suite = suite
+        self.instances = instances
+        self.failures = [] if failures is None else failures
+        self.wall_time = wall_time
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"suite": self.suite, "instances": self.instances,
+                "failures": list(self.failures),
+                "wall_time": self.wall_time, "notes": list(self.notes)}
 
     def human(self) -> str:
         lines = [f"[{'PASS' if self.ok else 'FAIL'}] suite {self.suite}: "

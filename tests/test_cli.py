@@ -9,13 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from sylres.cli import (_MAX_SET_SIZE, _MAX_SIDE, _MAX_TERMS, build_parser,
-                        main)
+from sylres.cli import (_MAX_POINTS, _MAX_SCHUR_BITS, _MAX_SCHUR_WORK,
+                        _MAX_SET_SIZE, _MAX_SIDE, _MAX_SRES_WORK, _MAX_TERMS,
+                        _check_schur, _check_sres, build_parser, main)
 from sylres.errors import ValidationError
 from sylres.io import _MAX_ROOTS, parse_multiset
 from sylres.poly import Poly
 from sylres.rationals import parse_rational
 from sylres.rootsets import RootMultiset
+from sylres.schur import SchurSpec
 from sylres.sylvester import sylm_term_bound
 from sylres.verify import (_SUITES, _SYLM_MAX_DEG, _SYLM_MAX_TERMS,
                            SUITE_NAMES, FuzzConfig, _pool_size,
@@ -495,6 +497,16 @@ SET24 = ",".join(str(v) for v in range(24))
 OTHER24 = ",".join(str(v) for v in range(100, 124))
 
 
+def _expanded(roots) -> str:
+    """The ascending coefficient list of the monic polynomial with these
+    roots."""
+    return ",".join(map(str, Poly.from_roots(roots).coeffs))
+
+
+def _rows(*start_stop) -> str:
+    return ",".join(map(str, range(*start_stop)))
+
+
 class TestTermCaps:
     """A sum of more than _MAX_TERMS terms is refused before any work, in a
     subprocess with a timeout, so that a call that starts the sum fails."""
@@ -530,6 +542,32 @@ class TestTermCaps:
           "-d", "0"],
          f"sres would eliminate a matrix of side 100, above the cap of "
          f"{_MAX_SIDE}"),
+        # side 80, as the roots: form at its cap allows, but 61 coefficients
+        # of about 270 bits: 19-23 s before the cap
+        (["sres", "-f", _expanded([F(i, 7) for i in range(1, 61)]),
+          "-g", _expanded([F(-i, 5) for i in range(1, 61)]), "-d", "20"],
+         f"sres would eliminate a matrix of side 80 and width 100 on "
+         f"integers of up to 21680 bits; its work 302094336000000 is above "
+         f"the cap of {_MAX_SRES_WORK}"),
+        # lambda = (80^80) and (100^100): 9 s and 41 s before the cap
+        (["schur", "-k", "160", "-R", _rows(81, 161),
+          "--points", "1/3:40,2/7:40"],
+         f"schur would compute integers of up to 64000 bits, above the cap "
+         f"of {_MAX_SCHUR_BITS}"),
+        (["schur", "-k", "200", "-R", _rows(101, 201),
+          "--points", "1/3:50,2/7:50"],
+         f"schur would compute integers of up to 100000 bits, above the cap "
+         f"of {_MAX_SCHUR_BITS}"),
+        # lambda is empty, but the e_j of 99,999 points ran past 100 s
+        (["schur", "-k", "100000", "-R", "1", "--points", "1:99999"],
+         f"schur takes at most {_MAX_POINTS} points with multiplicity, "
+         f"got 99999"),
+        # the 2^14 horizontal strips of (14, 13, ..., 1): 7 s before the cap
+        (["schur", "-k", "29", "-R", _rows(2, 29, 2),
+          "--points", _rows(1, 15), "--with-x"],
+         f"schur would evaluate 16384 Jacobi-Trudi determinants of side 14 "
+         f"on 735-bit integers; their work 33043906560 is above the cap of "
+         f"{_MAX_SCHUR_WORK}"),
     ])
     def test_refused_by_size(self, argv, message):
         out = run_subprocess(*argv, timeout=20)
@@ -546,6 +584,19 @@ class TestTermCaps:
                    "-d", "1")[0] == 0
         side = ",".join(["1"] * (_MAX_SIDE // 2 + 1))
         assert run(capsys, "sres", "-f", side, "-g", side, "-d", "0")[0] == 0
+        assert run(capsys, "schur", "-k", str(_MAX_POINTS),
+                   "--points", f"1:{_MAX_POINTS}") == (0, "1\n", "")
+
+    def test_slow_calls_under_the_work_caps(self):
+        # measured at 6 s and 10 s on 2 vCPUs; checked, not run
+        roots = [F(i, 7) for i in range(1, _MAX_ROOTS + 1)]
+        f = Poly.from_roots(roots)
+        g = Poly.from_roots([-r * F(7, 5) for r in roots])
+        _check_sres(f, g, 0)
+        n = 2 ** 33 // 30
+        points = RootMultiset([(n - 5, 15), (n - 4, 15)])
+        # lambda = (50^30): rows 31..80 of V_80 removed
+        _check_schur(SchurSpec(80, range(31, 81), points))
 
     def test_below_the_cap(self):
         # 12,870 terms, which sylm sums in about 2 s; and verify's largest

@@ -3,12 +3,16 @@ the benchmark's tracer binds."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "sylres")
-                 .glob("*.py") if p.name != "__init__.py")
+SRC = Path(__file__).parent.parent / "src"
+MODULES = sorted(p for p in (SRC / "sylres").glob("*.py")
+                 if p.name != "__init__.py")
 
 
 def _imported(tree):
@@ -79,3 +83,22 @@ def test_benchmark_tracer_names_resolve():
         obj = getattr(importlib.import_module(f"sylres.{owners[name]}"), name)
         assert hasattr(obj, "cache_info"), name
     assert callable(importlib.import_module("sylres.sylvester").sylm_terms)
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # `dataclasses` imports these for its code generation; together they
+    # were about half the time of `import sylres.cli`, which every command
+    # line call pays
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+    def loaded(code):
+        out = subprocess.run(
+            [sys.executable, "-c", code + "; print(*sorted(sys.modules))"],
+            capture_output=True, text=True, check=True, env=env, timeout=60)
+        return set(out.stdout.split())
+
+    added = loaded("import sys, sylres.cli") - loaded("import sys")
+    assert "sylres.cli" in added
+    banned = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert sorted(added & banned) == []

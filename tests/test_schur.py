@@ -173,6 +173,21 @@ def test_caches_stay_within_bound():
         assert cached.cache_info().currsize <= SCHUR_CACHE_SIZE
 
 
+def test_equal_specs_share_a_cache_entry():
+    # removed is stored sorted, so the order it is given in changes neither
+    # equality, nor the hash, nor the cache entry
+    x = RM((F(5, 3), 1))
+    first, second = SchurSpec(3, (2, 1), x), SchurSpec(3, (1, 2), x)
+    assert first == second and hash(first) == hash(second)
+    assert second.removed == (1, 2)
+    assert first != SchurSpec(3, (1, 3), x)
+    schur_value(first)
+    before = schur_value.cache_info()
+    schur_value(second)
+    after = schur_value.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
 def test_invariance_under_point_reordering():
     # the canonical sorted order is a choice; the ratio must not depend on it
     values = [F(5), F(-2), F(1, 2)]
