@@ -117,18 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# The side m+n-2d of the matrix sres_det eliminates: on 2 vCPUs, 5 s at the
-# cap and 27 s at 100, for d = 0 and f, g of equal degree with roots i/7 and
+# The side m+n-2d of the matrix sres_det eliminates: on 2 vCPUs, 4 s at the
+# cap and 16 s at 100, for d = 0 and f, g of equal degree with roots i/7 and
 # -i/5. Coefficient lists of small integers take well under 1 s at 160.
 _MAX_SIDE = 80
 # The elimination makes about side^2 * width integer updates, width being
 # m+n-d, on integers of up to `bits` bits: (n-d) rows of f's and (m-d) rows
 # of g's coefficients, each scaled to integers. An update costs about
 # bits^2 for its exact division, plus a fixed interpreter cost worth 2e6.
-# Near the cap on 2 vCPUs: 13 s for random 174-bit coefficients at side 80,
-# 11 s for 988-bit ones at side 40, 11 s for small ones at side 80 and
+# Near the cap on 2 vCPUs: 7 s for random 174-bit coefficients at side 80,
+# 6 s for 988-bit ones at side 40, 5 s for small ones at side 80 and
 # width 7,040. The 61 coefficients of roots i/7 and -i/5 at d = 20 (3e14)
-# took 19 s, and those of 40 such roots at d = 0 (8.9e13) 6 s.
+# take 14 s, and those of 40 such roots at d = 0 (8.9e13) 4 s.
 _MAX_SRES_WORK = 10 ** 14
 
 

@@ -42,7 +42,7 @@ def parse_multiset(text: str) -> RootMultiset:
 
 
 # The degree of a "roots:" polynomial: two at the cap make a matrix of side
-# 80 at d = 0, which sres_det eliminates in about 5 s on 2 vCPUs for roots
+# 80 at d = 0, which sres_det eliminates in about 4 s on 2 vCPUs for roots
 # i/7; at degree 100,000 the product of the roots alone ran past 60 s.
 _MAX_ROOTS = 40
 

@@ -2,19 +2,21 @@
 
 Every determinant runs through one kernel, `_bareiss`: integer
 fraction-free elimination with row pivoting (Bareiss, Math. Comp. 22,
-1968). Its general entry is `det_z_bordered`: for n integer rows of width
-w >= n, it eliminates the first n-1 columns once and returns the w-n+1
-determinants of those columns bordered by each later column. `det_z` is
-the square case of one border. `det_q` and `det_p` scale each row to
-integers by the least common multiple of its denominators; `det_q` is then
-`det_z` over the product of those multipliers. `det_p` admits one column
-of polynomials: it moves that column last and spreads it into one column
-per coefficient, so the bordered determinants are the coefficients of the
-determinant. Its only library caller is the reference ratio of
-`schur-consistency`; `sres_det` builds its integer rows itself and calls
-`det_z_bordered`. Matrices are plain sequences of rows. Row indices are
-1-based to match the index-set conventions used by the Schur and Sylvester
-modules.
+1968). A row still zero in every column eliminated so far equals its row
+as read times the leading minor (Sylvester's identity), so the kernel
+leaves it as read; that skips most of a Sylvester matrix's staircase. Its
+general entry is `det_z_bordered`: for n integer rows of width w >= n, it
+eliminates the first n-1 columns once and returns the w-n+1 determinants
+of those columns bordered by each later column. `det_z` is the square case
+of one border. `det_q` and `det_p` scale each row to integers by the least
+common multiple of its denominators; `det_q` is then `det_z` over the
+product of those multipliers. `det_p` admits one column of polynomials: it
+moves that column last and spreads it into one column per coefficient, so
+the bordered determinants are the coefficients of the determinant. Its
+only library caller is the reference ratio of `schur-consistency`;
+`sres_det` builds its integer rows itself and calls `det_z_bordered`.
+Matrices are plain sequences of rows. Row indices are 1-based to match the
+index-set conventions used by the Schur and Sylvester modules.
 """
 
 from __future__ import annotations
@@ -49,23 +51,37 @@ def _bareiss(a: List[List[int]], steps: int) -> Tuple[List[int], int]:
     Entry j >= steps of the last row, times sign, is then the determinant
     of columns 0..steps-1 and j of the rows; sign is that of the row
     swaps. Every entry is 0 when those columns have no pivot.
+
+    A row zero in all k columns eliminated so far is left as read: its
+    (k+1)-minors are its entries times the leading k-minor `prev`. It skips
+    its zero steps, takes its first nonzero one without division, and is
+    multiplied by `prev` once when it becomes the pivot row or the result.
     """
     sign, prev = 1, 1
+    untouched = [True] * len(a)
     for k in range(steps):
         if a[k][k] == 0:
             for i in range(k + 1, len(a)):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
+                    untouched[k], untouched[i] = untouched[i], untouched[k]
                     sign = -sign
                     break
             else:
                 return [0] * len(a[-1]), sign
+        if untouched[k]:
+            a[k][k:] = [x * prev for x in a[k][k:]]
         pivot = a[k][k]
         tail = a[k][k + 1:]
         for i in range(k + 1, len(a)):
             row = a[i]
             aik = row[k]
-            if aik:
+            if untouched[i]:
+                if aik:
+                    row[k + 1:] = [x * pivot - aik * y
+                                   for x, y in zip(row[k + 1:], tail)]
+                    untouched[i] = False
+            elif aik:
                 row[k + 1:] = [(x * pivot - aik * y) // prev
                                for x, y in zip(row[k + 1:], tail)]
             else:
@@ -73,7 +89,7 @@ def _bareiss(a: List[List[int]], steps: int) -> Tuple[List[int], int]:
                 # division stays exact
                 row[k + 1:] = [x * pivot // prev for x in row[k + 1:]]
         prev = pivot
-    return a[-1], sign
+    return ([x * prev for x in a[-1]] if untouched[-1] else a[-1]), sign
 
 
 def _check_square(rows: Sequence[Sequence]) -> int:

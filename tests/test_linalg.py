@@ -71,6 +71,24 @@ class TestDetZ:
         with pytest.raises(NotSquare):
             det_z([[1, 2]])
 
+    # A row still zero in every column eliminated so far stays as read
+    # until it becomes the pivot or the result; each case reaches one rule
+    # of that with the leading minor `prev` not 1.
+    @pytest.mark.parametrize("rows", [
+        # step 1: the zero pivot row was updated at step 0, the last row
+        # was not, and the swap must carry the rows' states along
+        [[3, -3, 1, -1], [-1, 1, 0, -1], [1, -1, 1, 0], [0, -1, -1, -2]],
+        # step 1: a zero pivot swapped with a row updated at step 0
+        [[2, 1, 0, 1], [4, 2, 1, 3], [1, 3, 1, 2], [0, 1, 1, 1]],
+        # step 1: a pivot row still as read, reached without a swap
+        [[2, 1, 1], [0, 3, 1], [1, 1, 1]],
+        # the last row is zero in both eliminated columns
+        [[2, 1, 1], [1, 3, 1], [0, 0, 5]],
+    ], ids=["swap-with-untouched", "swap-with-touched", "untouched-pivot",
+            "untouched-last-row"])
+    def test_rows_left_as_read(self, rows):
+        assert det_z(rows) == ref_det_q(rows) != 0
+
 
 class TestDetZBordered:
     def test_square_is_det_z(self):
@@ -354,6 +372,39 @@ def bordered_rows(draw, max_n=6, max_border=4):
 @given(bordered_rows())
 def test_det_z_bordered_matches_reference(rows):
     n = len(rows)
+    want = [ref_det_q([row[:n - 1] + [row[j]] for row in rows])
+            for j in range(n - 1, len(rows[0]))]
+    assert det_z_bordered(rows) == want
+
+
+@st.composite
+def staircase_rows(draw, max_n=7, max_border=3):
+    """n integer rows of width n-1 plus 1..max_border, row i with up to i
+    leading zeros, in a drawn order, so that rows stay zero in the
+    eliminated columns for several steps. Half the time the last row
+    repeats a multiple of the first in its first j columns, so that a later
+    pivot vanishes and a row is swapped in, or (j = width) the rank
+    drops."""
+    n = draw(st.integers(1, max_n))
+    width = n - 1 + draw(st.integers(1, max_border))
+    rows = []
+    for i in range(n):
+        zeros = draw(st.integers(0, i))
+        rows.append([0] * zeros + draw(st.lists(
+            st.integers(-9, 9), min_size=width - zeros,
+            max_size=width - zeros)))
+    if n >= 2 and draw(st.booleans()):
+        c, j = draw(st.integers(-3, 3)), draw(st.integers(1, width))
+        rows[-1][:j] = [c * x for x in rows[0][:j]]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(staircase_rows())
+def test_staircases_match_reference(rows):
+    n = len(rows)
+    square = [row[:n] for row in rows]
+    assert det_z(square) == ref_det_q(square)
     want = [ref_det_q([row[:n - 1] + [row[j]] for row in rows])
             for j in range(n - 1, len(rows[0]))]
     assert det_z_bordered(rows) == want

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
@@ -84,6 +85,23 @@ class TestSresDet:
         f = Poly.from_roots([1, 2])
         g = Poly.from_roots([2, 3])
         assert sres_det(f.scale(3), g, 1) == sres_det(f, g, 1).scale(3)
+
+    @pytest.mark.parametrize("m, n", [(13, 5), (15, 4), (18, 3)])
+    def test_benchmark_shapes(self, m, n):
+        # the sres-large shapes of perfbench, and the identity its worker
+        # checks: Sres_d(f, g) = (-1)^((m-d)(n-d)) Sres_d(g, f), and
+        # Sres_d(g, f) = (-1)^(d(n-d)) syl_single(B, A, d)
+        rng = random.Random(f"sres-large {m} {n}")
+        values = []
+        while len(values) < m + n:
+            v = F(rng.randint(-8, 8), rng.randint(1, 8))
+            if v not in values:
+                values.append(v)
+        a, b = sets(*values[:m]), sets(*values[m:])
+        f, g = Poly.from_roots(a.values()), Poly.from_roots(b.values())
+        for d in range(n + 1):
+            sign = -1 if ((m - d) * (n - d) + d * (n - d)) % 2 else 1
+            assert sres_det(f, g, d) == syl_single(b, a, d).scale(sign)
 
 
 class TestSylSingle:
