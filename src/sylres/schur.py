@@ -11,16 +11,17 @@ Values come from the dual Jacobi-Trudi identity s_lambda = det(e_{lambda'_i
 lambda_1 (Macdonald, Symmetric Functions and Hall Polynomials, I.3). The
 kernel is integer. The points are scaled by their common denominator D, the
 e_j of the scaled points come from one integer product of linear factors,
-and the determinant runs on `linalg.det_z`. s_lambda is homogeneous of
-degree |lambda|, so the value is that integer over D^|lambda|. With one
-symbolic extra point x the branching rule gives the polynomial:
-s_lambda(X + x) = sum of s_mu(X) x^{|lambda/mu|} over the mu for which
-lambda/mu is a horizontal strip, one integer sum over D^|mu| per
-coefficient.
+stopped at the largest e_j the determinant reads, and the determinant runs
+on `linalg.det_z`. s_lambda is homogeneous of degree |lambda|, so the value
+is that integer over D^|lambda|. With one symbolic extra point x the
+branching rule gives the polynomial: s_lambda(X + x) = sum of s_mu(X)
+x^{|lambda/mu|} over the mu for which lambda/mu is a horizontal strip, one
+integer sum over D^|mu| per coefficient.
 
 `schur_value` and `schur_poly_x` are cached entries to this kernel for one
-`SchurSpec`, and make its integers Fractions. `sylm` calls the integer
-functions themselves (`elementary`, `removal_partition`, `jacobi_trudi`,
+`SchurSpec`, and make its integers Fractions; for an empty lambda they
+return 1 without building any e_j. `sylm` calls the integer functions
+themselves (`elementary`, `removal_partition`, `jacobi_trudi`,
 `strip_sums`) once per factor at the loop level that fixes its removed rows,
 and keeps each factor an integer over its power of D. `evaluation_size`
 gives the size of a spec's evaluation before any of it runs, for the
@@ -36,12 +37,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyPoints, InconsistentRemovalCount
 from .linalg import (det_p, det_q, det_z, remove_rows,
                      vandermonde_confluent, vandermonde_confluent_with_x)
-from .poly import Poly, linear_product
+from .poly import Poly
 from .rationals import Q1, common_denominator, scaled
 from .records import Frozen
 from .rootsets import RootMultiset
@@ -79,11 +80,24 @@ def removal_partition(k: int, removed: Sequence[int],
     return tuple(e - (rows - j) for j, e in enumerate(kept, start=1))
 
 
-def elementary(w: Sequence[int]) -> List[int]:
-    """(e_0, ..., e_r) of the integer points w, from prod (x - w) =
-    sum (-1)^j e_j x^(r-j)."""
-    coeffs = linear_product(w)
-    return [-c if j % 2 else c for j, c in enumerate(reversed(coeffs))]
+def elementary(w: Sequence[int], top: Optional[int] = None) -> List[int]:
+    """(e_0, ..., e_top) of the integer points w, the coefficients of
+    prod (1 + w t) up to t^top; all r + 1 of them without `top`, and none
+    past e_r, which are 0."""
+    top = len(w) if top is None else top
+    e = [1]
+    for x in w:
+        if len(e) <= top:
+            e.append(0)
+        for j in range(len(e) - 1, 0, -1):
+            e[j] += x * e[j - 1]
+    return e
+
+
+def _top(lam: Sequence[int]) -> int:
+    """The largest j whose e_j the Jacobi-Trudi matrix of lambda, or of a
+    mu inside it, reads: l(lambda) + lambda_1 - 1."""
+    return sum(1 for p in lam if p) + lam[0] - 1
 
 
 def jacobi_trudi(lam: Sequence[int], e: Sequence[int]) -> int:
@@ -153,9 +167,12 @@ def schur_value(spec: SchurSpec) -> Fraction:
         if spec.k == 0:
             return Q1  # empty-determinant convention
         raise EmptyPoints("no points: denominator Vandermonde is undefined")
-    w, den = _scaled_points(spec.points)
     lam = removal_partition(spec.k, spec.removed, r)
-    return Fraction(jacobi_trudi(lam, elementary(w)), den ** sum(lam))
+    if not any(lam):
+        return Q1
+    w, den = _scaled_points(spec.points)
+    return Fraction(jacobi_trudi(lam, elementary(w, _top(lam))),
+                    den ** sum(lam))
 
 
 @lru_cache(maxsize=SCHUR_CACHE_SIZE)
@@ -163,11 +180,13 @@ def schur_poly_x(spec: SchurSpec) -> Poly:
     """S_k^(R)(X with one symbolic point), as an exact polynomial."""
     if not spec.with_x:
         raise ValueError("spec.with_x must be set")
-    w, den = _scaled_points(spec.points)
     lam = removal_partition(spec.k, spec.removed, spec.points.size + 1)
+    if not any(lam):
+        return Poly.one()
+    w, den = _scaled_points(spec.points)
     size = sum(lam)
-    return Poly(Fraction(s, den ** (size - t))
-                for t, s in enumerate(strip_sums(lam, elementary(w))))
+    return Poly(Fraction(s, den ** (size - t)) for t, s in
+                enumerate(strip_sums(lam, elementary(w, _top(lam)))))
 
 
 def schur_vandermonde_ratio(spec: SchurSpec) -> Union[Fraction, Poly]:

@@ -21,13 +21,18 @@ range, for the worked examples' negative case.
 `sylm` takes its difference-product ratios and x-parts from `_base_table`, on
 the same kernel, and its confluent Schur factors from the integer
 Jacobi–Trudi kernel of `schur`, each computed once at the loop level of
-`_integer_terms` that fixes its removed rows. On the roots scaled by D every
-term is an integer over V = vand(Ā) vand(B̄), and every term is homogeneous
-of the degree δ = (m-d)(n-d) + d of Sres_d, so coefficient j of every term
-is an integer over the one V D^(δ-j). `sylm` adds those integers and builds
-one Fraction per output coefficient; `sylm_terms` builds each term's
-Fractions for the audit. The literal forms of these sums survive only as
-test references.
+`_integer_terms` that fixes its removed rows. What does not depend on the
+roots — the size triples, the partitions (R1, R2, R3), their signs σ and
+the removal partitions λ1, λ2, λ3 — is one skeleton per shape
+(m, n, m̄, n̄, d), kept in a cache bounded by the partitions it holds
+(`_SKELETON_BUDGET`, 2^14, about 9 MB); `_size_triples`, and so
+`sylm_term_bound`, reads it without building one. On the roots scaled by D
+every term is an integer over V = vand(Ā) vand(B̄), and every term is
+homogeneous of the degree δ = (m-d)(n-d) + d of Sres_d, so coefficient j of
+every term is an integer over the one V D^(δ-j). `sylm` adds those
+integers and builds one Fraction per output coefficient; `sylm_terms`
+builds each term's Fractions for the audit. The literal forms of these
+sums survive only as test references.
 """
 
 from __future__ import annotations
@@ -366,17 +371,15 @@ def _base_table(a: RootMultiset, b: RootMultiset) -> tuple:
     return den, wa, wb, ta.vandermonde * tb.vandermonde, table
 
 
-def _size_triples(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
+def _shape_sizes(m: int, n: int, mbar: int, nbar: int, d: int) -> tuple:
     """The R1 window, None in the collapsed regime d >= m'+n', and the sizes
     (r1, r2, r3, s_a, s_b) of R1, R2, R3, A' and B' that the multiset sum
     runs over, in loop order."""
-    m, n = a.size, b.size
     check_degree_window(m, n, d)
-    mbar, nbar = a.distinct_count, b.distinct_count
     mp, np_ = m - mbar, n - nbar
     r = mp + np_ - d
     if r <= 0:
-        return None, [(0, 0, 0, d - mp, mp)]
+        return None, ((0, 0, 0, d - mp, mp),)
     # from m+n-2d, which the degree window keeps >= 1
     window, sizes = range(m + n - 2 * d, r + 1), []
     for r1 in range(len(window) + 1):
@@ -386,7 +389,73 @@ def _size_triples(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
             # r1 = d-s_a-s_b, r2 = m-d-(m̄-s_a) and r3 = n-d-(n̄-s_b)
             if max(0, np_ - d) <= r3 <= n - d:
                 sizes.append((r1, r2, r3, r2 + d - mp, r3 + d - np_))
-    return window, sizes
+    return window, tuple(sizes)
+
+
+# The skeletons of the shapes (m, n, m̄, n̄, d) seen so far, and the
+# partitions they hold between them, at most _SKELETON_BUDGET (about 560
+# bytes each): a skeleton that would pass it clears the cache first, and
+# one larger than the whole budget is not kept.
+_SKELETON_BUDGET = 1 << 14
+_skeletons: dict = {}
+_skeleton_partitions = 0
+
+
+def _skeleton(m: int, n: int, mbar: int, nbar: int, d: int) -> tuple:
+    """(window, sizes, blocks): `_shape_sizes` and, per size triple in the
+    general regime, its R1 blocks as (λ1, partitions), each partition as
+    ((R1, R2, R3), σ, λ2, λ3), in the order the multiset sum runs them.
+
+    None of it depends on the roots, so it is built once per shape and
+    cached; it counts as at least one partition, so the collapsed regime's
+    skeletons, which hold none, are bounded too.
+    """
+    global _skeleton_partitions
+    key = (m, n, mbar, nbar, d)
+    skeleton = _skeletons.get(key)
+    if skeleton is not None:
+        return skeleton
+    window, sizes = _shape_sizes(m, n, mbar, nbar, d)
+    blocks, count = [], 0
+    if window is not None:
+        k = m + n - d
+        for r1, r2, r3, s_a, s_b in sizes:
+            r = r1 + r2 + r3
+            r1_blocks = []
+            for r1_block in combinations(window, r1):
+                rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
+                r1_shift = tuple(i - (window.start - 1) for i in r1_block)
+                # the points and x fill s_a + s_b + 1 rows
+                lam1 = removal_partition(d + 1, r1_shift, s_a + s_b + 1)
+                parts = []
+                for r2_block in combinations(rest, r2):
+                    r3_block = tuple(i for i in rest if i not in r2_block)
+                    part = (r1_block, r2_block, r3_block)
+                    parts.append((
+                        part, sigma_sign(m, n, mbar, nbar, d, part),
+                        removal_partition(k, r2_block, mbar - s_a + n),
+                        removal_partition(k, r3_block, m + nbar - s_b)))
+                r1_blocks.append((lam1, tuple(parts)))
+                count += len(parts)
+            blocks.append(tuple(r1_blocks))
+    skeleton, count = (window, sizes, tuple(blocks)), max(count, 1)
+    if count <= _SKELETON_BUDGET:
+        if _skeleton_partitions + count > _SKELETON_BUDGET:
+            _skeletons.clear()
+            _skeleton_partitions = 0
+        _skeletons[key] = skeleton
+        _skeleton_partitions += count
+    return skeleton
+
+
+def _size_triples(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
+    """`_shape_sizes` of the shape of (a, b, d), from its cached skeleton
+    when there is one; no skeleton is built."""
+    key = (a.size, b.size, a.distinct_count, b.distinct_count, d)
+    skeleton = _skeletons.get(key)
+    if skeleton is not None:
+        return skeleton[:2]
+    return _shape_sizes(*key)
 
 
 def sylm_term_bound(a: RootMultiset, b: RootMultiset, d: int) -> int:
@@ -420,6 +489,12 @@ def _integer_terms(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
     pairs, N c and the e-vectors, the R1 block s1 per pair, and the R2
     block s2 per A' and s3 per B': each is computed once.
 
+    Everything else comes from `_skeleton`, which depends on the shape
+    (m, n, m̄, n̄, d) alone and is cached by it: the size triples, the R1
+    blocks with λ1, and under each the partitions with σ, λ2 and λ3. The
+    cache holds at most `_SKELETON_BUDGET` partitions. So a call does value
+    work only, and a shape seen before costs no sign or partition.
+
     With x scaled by D too, a term is coeffs / V. Like the sum, each term is
     homogeneous of degree δ = (m-d)(n-d) + d in the roots and x: the ratio's
     numerator differences less its denominator's, s_a + s_b for the x-part
@@ -429,22 +504,24 @@ def _integer_terms(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
     the roots, so dens[j] = V D^(δ-j).
     """
     m, n = a.size, b.size
-    mbar, nbar = a.distinct_count, b.distinct_count
-    window, sizes = _size_triples(a, b, d)
+    window, sizes, blocks = _skeleton(m, n, a.distinct_count,
+                                      b.distinct_count, d)
     den, wa, wb, vand, table = _base_table(a, b)
     a_all, b_all = scaled(a.values(), den), scaled(b.values(), den)
     delta = (m - d) * (n - d) + d
     dens = [vand * den ** (delta - j) for j in range(d + 1)]
 
     def terms() -> Iterator[tuple]:
-        for r1, r2, r3, s_a, s_b in sizes:
+        if window is None:
+            # one size triple, and no Schur factors
+            *_, s_a, s_b = sizes[0]
+            sign = -1 if ((m - a.distinct_count) * (m - d)) % 2 else 1
+            for (a_idx, b_idx), poly in table(s_a, s_b).items():
+                yield ((), (), ()), a_idx, b_idx, sign, [sign * c
+                                                         for c in poly]
+            return
+        for (*_, s_a, s_b), r1_blocks in zip(sizes, blocks):
             pairs = list(table(s_a, s_b).items())
-            if window is None:
-                sign = -1 if ((m - mbar) * (m - d)) % 2 else 1
-                for (a_idx, b_idx), poly in pairs:
-                    yield (((), (), ()), a_idx, b_idx, sign,
-                           [sign * c for c in poly])
-                continue
             e1 = [elementary([wa[i] for i in a_idx] + [wb[j] for j in b_idx])
                   for (a_idx, b_idx), _ in pairs]
             e2 = {a_idx: elementary([w for i, w in enumerate(wa)
@@ -453,20 +530,10 @@ def _integer_terms(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
             e3 = {b_idx: elementary(a_all + [w for j, w in enumerate(wb)
                                              if j not in b_idx])
                   for b_idx in dict.fromkeys(b for (_, b), _ in pairs)}
-            r, k = r1 + r2 + r3, m + n - d
-            for r1_block in combinations(window, r1):
-                rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
-                r1_shift = tuple(i - (window.start - 1) for i in r1_block)
-                # the points and x fill s_a + s_b + 1 rows
-                lam1 = removal_partition(d + 1, r1_shift, s_a + s_b + 1)
+            for lam1, parts in r1_blocks:
                 x1 = [_convolve(poly, strip_sums(lam1, e))
                       for (_, poly), e in zip(pairs, e1)]
-                for r2_block in combinations(rest, r2):
-                    r3_block = tuple(i for i in rest if i not in r2_block)
-                    part = (r1_block, r2_block, r3_block)
-                    sign = sigma_sign(m, n, mbar, nbar, d, part)
-                    lam2 = removal_partition(k, r2_block, mbar - s_a + n)
-                    lam3 = removal_partition(k, r3_block, m + nbar - s_b)
+                for part, sign, lam2, lam3 in parts:
                     s2 = {i: jacobi_trudi(lam2, e) for i, e in e2.items()}
                     s3 = {j: jacobi_trudi(lam3, e) for j, e in e3.items()}
                     for ((a_idx, b_idx), _), poly in zip(pairs, x1):

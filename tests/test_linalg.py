@@ -408,3 +408,41 @@ def test_staircases_match_reference(rows):
     want = [ref_det_q([row[:n - 1] + [row[j]] for row in rows])
             for j in range(n - 1, len(rows[0]))]
     assert det_z_bordered(rows) == want
+
+
+@st.composite
+def swaps_past_untouched_rows(draw, max_n=6, max_border=2):
+    """n >= 3 integer rows whose pivot at step 1 is 0 and is swapped with a
+    row still zero in the eliminated column, after a step 0 that leaves the
+    leading minor `prev` other than 0 and ±1. Row 0 leads with |a| >= 2;
+    row 1 is c != 0 times row 0 in columns 0 and 1, so step 0 updates it and
+    zeroes its next pivot; row 2 starts with 0 and has the first nonzero
+    entry of column 1 below row 1, so it is swapped in untouched. The rows
+    are not reordered, since the order makes the case."""
+    n = draw(st.integers(3, max_n))
+    width = n - 1 + draw(st.integers(1, max_border))
+    ints = st.integers(-9, 9)
+
+    def tail(size):
+        return draw(st.lists(ints, min_size=size, max_size=size))
+
+    top = [draw(st.integers(2, 9)) * draw(st.sampled_from((1, -1))),
+           *tail(width - 1)]
+    c = draw(ints.filter(bool))
+    rows = [top, [c * top[0], c * top[1], *tail(width - 2)],
+            [0, draw(ints.filter(bool)), *tail(width - 2)]]
+    return rows + [tail(width) for _ in range(n - 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(swaps_past_untouched_rows())
+def test_swaps_past_untouched_rows_match_reference(rows):
+    # the rows' untouched flags must move with the rows: a flag left behind
+    # takes the swapped-in row's prev multiple away, and puts one on the row
+    # swapped out
+    n = len(rows)
+    square = [row[:n] for row in rows]
+    assert det_z(square) == ref_det_q(square)
+    want = [ref_det_q([row[:n - 1] + [row[j]] for row in rows])
+            for j in range(n - 1, len(rows[0]))]
+    assert det_z_bordered(rows) == want

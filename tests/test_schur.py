@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylres.errors import EmptyPoints, InconsistentRemovalCount
-from sylres.poly import Poly
+from sylres.poly import Poly, linear_product
 from sylres.rootsets import RootMultiset
-from sylres.schur import (SCHUR_CACHE_SIZE, SchurSpec,
+from sylres.schur import (SCHUR_CACHE_SIZE, SchurSpec, elementary,
                           schur_classical_ratio, schur_consistency_check,
                           schur_poly_x, schur_value, schur_vandermonde_ratio)
 
@@ -161,6 +162,26 @@ def schur_specs(draw):
 def test_dual_jacobi_trudi_matches_vandermonde_ratio(spec):
     got = schur_poly_x(spec) if spec.with_x else schur_value(spec)
     assert got == schur_vandermonde_ratio(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=9), st.integers(0, 11))
+def test_elementary_stops_at_top(w, top):
+    # e_j is (-1)^j times the coefficient of x^(r-j) in prod (x - w)
+    full = elementary(w)
+    assert full == [(-1) ** j * c
+                    for j, c in enumerate(reversed(linear_product(w)))]
+    assert elementary(w, top) == full[:top + 1]
+
+
+def test_empty_partition_builds_no_elementary_values():
+    # no rows removed: s_() = 1 is read off the sizes, without the e_j of
+    # 600 points whose common denominator has about 870 bits
+    points = RootMultiset.from_values([F(i, i + 1) for i in range(1, 601)])
+    start = time.process_time()
+    assert schur_value(SchurSpec(600, (), points)) == 1
+    assert schur_poly_x(SchurSpec(601, (), points, with_x=True)) == Poly.one()
+    assert time.process_time() - start < 0.5
 
 
 def test_caches_stay_within_bound():

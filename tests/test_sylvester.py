@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sylres import sylvester
 from sylres.combinatorics import sigma_sign
 from sylres.errors import (ArityMismatch, CardinalityTooSmall, DegreeWindow,
                            MultiplicityNotOne, TooFewElements)
@@ -23,6 +28,8 @@ from sylres.sylvester import (SylmTerm, _base_table, _size_triples,
 from sylres.verify import _collapsed_double_sum, _symmetric_pool
 from test_combinatorics import is_partition
 from test_linalg import ref_det_p
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 def RM(*pairs):
@@ -882,3 +889,86 @@ def test_sylm_sums_its_terms(data):
         assert sylm(a, b, d) == sum((t.value for t in terms), Poly.zero())
         bound = sylm_term_bound(a, b, d)
         assert len(terms) <= bound if shared else len(terms) == bound
+
+
+def empty_skeleton_cache(monkeypatch):
+    monkeypatch.setattr(sylvester, "_skeletons", {})
+    monkeypatch.setattr(sylvester, "_skeleton_partitions", 0)
+
+
+def test_skeleton_key_is_complete(monkeypatch):
+    # one process visits every shape (m, n, m̄, n̄, d) with m, n <= 5, d
+    # innermost, from an empty cache: a skeleton cached under a key that
+    # left out m̄, n̄ or d would be read for the next shape that differs
+    # only there, and its terms would differ from the reference
+    empty_skeleton_cache(monkeypatch)
+    shapes = 0
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for mbar in range(1, m + 1):
+                for nbar in range(1, n + 1):
+                    a = shape(m, mbar)
+                    b = RootMultiset([(v + F(1, 2), mult)
+                                      for v, mult in shape(n, nbar).entries])
+                    for d in range(min(m, n) + (0 if m == n else 1)):
+                        shapes += 1
+                        ref = (ref_terms_collapsed
+                               if a.excess_count + b.excess_count <= d
+                               else ref_terms_general)
+                        assert list(sylm_terms(a, b, d)) == list(ref(a, b, d))
+    assert shapes == len(sylvester._skeletons) == 841
+
+
+def skeleton_size(m, n, mbar, nbar, d):
+    """The partitions a skeleton of the shape holds, by counting: one in
+    the collapsed regime."""
+    window, sizes = sylvester._shape_sizes(m, n, mbar, nbar, d)
+    return sum(comb(len(window or ()), r1) * comb(r2 + r3, r2)
+               for r1, r2, r3, *_ in sizes)
+
+
+def test_skeleton_cache_stays_within_budget(monkeypatch):
+    # the 64 largest shapes of degree <= 8 hold about 3.5 budgets between
+    # them, so the cache is cleared on the way; the partitions it holds are
+    # counted right and never pass the budget
+    empty_skeleton_cache(monkeypatch)
+    shapes = sorted(((m, n, mbar, nbar, d)
+                     for m in range(1, 9) for n in range(1, 9)
+                     for mbar in range(1, m + 1) for nbar in range(1, n + 1)
+                     for d in range(min(m, n) + (0 if m == n else 1))),
+                    key=lambda s: -skeleton_size(*s))[:64]
+    assert sum(skeleton_size(*s) for s in shapes) == 57060
+    clears = 0
+    for s in shapes:
+        before = len(sylvester._skeletons)
+        _, _, blocks = sylvester._skeleton(*s)
+        assert sum(len(parts) for r1_blocks in blocks
+                   for _, parts in r1_blocks) == skeleton_size(*s)
+        clears += len(sylvester._skeletons) <= before
+        held = sum(skeleton_size(*key) for key in sylvester._skeletons)
+        assert held == sylvester._skeleton_partitions
+        assert held <= sylvester._SKELETON_BUDGET
+        assert s in sylvester._skeletons
+    assert clears >= 3
+
+
+def test_skeleton_past_budget_is_used_not_kept(monkeypatch):
+    empty_skeleton_cache(monkeypatch)
+    monkeypatch.setattr(sylvester, "_SKELETON_BUDGET", 20)
+    small = RM((0, 2)), RM((1, 2))
+    a, b = RM((0, 3), (1, 1)), RM((F(1, 2), 6))
+    assert skeleton_size(2, 2, 1, 1, 0) <= 20 < skeleton_size(4, 6, 2, 1, 0)
+    assert list(sylm_terms(*small, 0)) == list(ref_terms_general(*small, 0))
+    for _ in range(2):
+        assert list(sylm_terms(a, b, 0)) == list(ref_terms_general(a, b, 0))
+        assert list(sylvester._skeletons) == [(2, 2, 1, 1, 0)]
+
+
+def test_skeleton_cache_is_empty_after_cli_import():
+    code = ("import sylres.cli; from sylres import sylvester as s; "
+            "print(len(s._skeletons), s._skeleton_partitions)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=60)
+    assert out.stdout.split() == ["0", "0"]
