@@ -25,14 +25,13 @@ Jacobi–Trudi kernel of `schur`, each computed once at the loop level of
 roots — the size triples, the partitions (R1, R2, R3), their signs σ and
 the removal partitions λ1, λ2, λ3 — is one skeleton per shape
 (m, n, m̄, n̄, d), kept in a cache bounded by the partitions it holds
-(`_SKELETON_BUDGET`, 2^14, about 9 MB); `_size_triples`, and so
-`sylm_term_bound`, reads it without building one. On the roots scaled by D
-every term is an integer over V = vand(Ā) vand(B̄), and every term is
-homogeneous of the degree δ = (m-d)(n-d) + d of Sres_d, so coefficient j of
-every term is an integer over the one V D^(δ-j). `sylm` adds those
-integers and builds one Fraction per output coefficient; `sylm_terms`
-builds each term's Fractions for the audit. The literal forms of these
-sums survive only as test references.
+(`_SKELETON_BUDGET`, 2^14, about 9 MB); a larger one is streamed and not
+kept. On the roots scaled by D every term is an integer over
+V = vand(Ā) vand(B̄), and every term is homogeneous of the degree
+δ = (m-d)(n-d) + d of Sres_d, so coefficient j of every term is an integer
+over the one V D^(δ-j). `sylm` adds those integers and builds one Fraction
+per output coefficient; `sylm_terms` builds each term's Fractions for the
+audit. The literal forms of these sums survive only as test references.
 """
 
 from __future__ import annotations
@@ -395,67 +394,74 @@ def _shape_sizes(m: int, n: int, mbar: int, nbar: int, d: int) -> tuple:
 # The skeletons of the shapes (m, n, m̄, n̄, d) seen so far, and the
 # partitions they hold between them, at most _SKELETON_BUDGET (about 560
 # bytes each): a skeleton that would pass it clears the cache first, and
-# one larger than the whole budget is not kept.
+# one larger than the whole budget is streamed and not kept.
 _SKELETON_BUDGET = 1 << 14
 _skeletons: dict = {}
 _skeleton_partitions = 0
 
 
+def _r1_blocks(shape: tuple, window: range, triple: tuple) -> Iterator[tuple]:
+    """The R1 blocks of one size triple of the shape as (λ1, partitions),
+    the partitions an iterator of ((R1, R2, R3), σ, λ2, λ3), in the order
+    the multiset sum runs them."""
+    m, n, mbar, nbar, d = shape
+    r1, r2, r3, s_a, s_b = triple
+    k, r = m + n - d, r1 + r2 + r3
+
+    def partitions(r1_block: tuple, rest: tuple) -> Iterator[tuple]:
+        for r2_block in combinations(rest, r2):
+            r3_block = tuple(i for i in rest if i not in r2_block)
+            part = (r1_block, r2_block, r3_block)
+            yield (part, sigma_sign(m, n, mbar, nbar, d, part),
+                   removal_partition(k, r2_block, mbar - s_a + n),
+                   removal_partition(k, r3_block, m + nbar - s_b))
+
+    for r1_block in combinations(window, r1):
+        rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
+        r1_shift = tuple(i - (window.start - 1) for i in r1_block)
+        # the points and x fill s_a + s_b + 1 rows
+        yield (removal_partition(d + 1, r1_shift, s_a + s_b + 1),
+               partitions(r1_block, rest))
+
+
 def _skeleton(m: int, n: int, mbar: int, nbar: int, d: int) -> tuple:
     """(window, sizes, blocks): `_shape_sizes` and, per size triple in the
-    general regime, its R1 blocks as (λ1, partitions), each partition as
-    ((R1, R2, R3), σ, λ2, λ3), in the order the multiset sum runs them.
+    general regime, its `_r1_blocks`.
 
-    None of it depends on the roots, so it is built once per shape and
-    cached; it counts as at least one partition, so the collapsed regime's
-    skeletons, which hold none, are bounded too.
+    None of it depends on the roots, so a skeleton within the budget is
+    built once per shape, as tuples, and cached. It counts its partitions,
+    C(|window|, r1) C(r2 + r3, r2) per size triple, and at least one, so the
+    collapsed regime's skeletons, which hold none, are bounded too. One
+    larger than the whole budget stays a stream, which holds one partition
+    at a time.
     """
     global _skeleton_partitions
     key = (m, n, mbar, nbar, d)
     skeleton = _skeletons.get(key)
     if skeleton is not None:
         return skeleton
-    window, sizes = _shape_sizes(m, n, mbar, nbar, d)
-    blocks, count = [], 0
-    if window is not None:
-        k = m + n - d
-        for r1, r2, r3, s_a, s_b in sizes:
-            r = r1 + r2 + r3
-            r1_blocks = []
-            for r1_block in combinations(window, r1):
-                rest = tuple(i for i in range(1, r + 1) if i not in r1_block)
-                r1_shift = tuple(i - (window.start - 1) for i in r1_block)
-                # the points and x fill s_a + s_b + 1 rows
-                lam1 = removal_partition(d + 1, r1_shift, s_a + s_b + 1)
-                parts = []
-                for r2_block in combinations(rest, r2):
-                    r3_block = tuple(i for i in rest if i not in r2_block)
-                    part = (r1_block, r2_block, r3_block)
-                    parts.append((
-                        part, sigma_sign(m, n, mbar, nbar, d, part),
-                        removal_partition(k, r2_block, mbar - s_a + n),
-                        removal_partition(k, r3_block, m + nbar - s_b)))
-                r1_blocks.append((lam1, tuple(parts)))
-                count += len(parts)
-            blocks.append(tuple(r1_blocks))
-    skeleton, count = (window, sizes, tuple(blocks)), max(count, 1)
-    if count <= _SKELETON_BUDGET:
-        if _skeleton_partitions + count > _SKELETON_BUDGET:
-            _skeletons.clear()
-            _skeleton_partitions = 0
-        _skeletons[key] = skeleton
-        _skeleton_partitions += count
+    window, sizes = _shape_sizes(*key)
+    blocks = [] if window is None else [_r1_blocks(key, window, triple)
+                                        for triple in sizes]
+    count = max(1, sum(comb(len(window or ()), r1) * comb(r2 + r3, r2)
+                       for r1, r2, r3, *_ in sizes))
+    if count > _SKELETON_BUDGET:
+        return window, sizes, blocks
+    if _skeleton_partitions + count > _SKELETON_BUDGET:
+        _skeletons.clear()
+        _skeleton_partitions = 0
+    skeleton = (window, sizes, tuple(tuple((lam1, tuple(parts))
+                                           for lam1, parts in r1_blocks)
+                                     for r1_blocks in blocks))
+    _skeletons[key] = skeleton
+    _skeleton_partitions += count
     return skeleton
 
 
 def _size_triples(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
-    """`_shape_sizes` of the shape of (a, b, d), from its cached skeleton
-    when there is one; no skeleton is built."""
-    key = (a.size, b.size, a.distinct_count, b.distinct_count, d)
-    skeleton = _skeletons.get(key)
-    if skeleton is not None:
-        return skeleton[:2]
-    return _shape_sizes(*key)
+    """`_shape_sizes` of the shape of (a, b, d)."""
+    return _shape_sizes(a.size, b.size, a.distinct_count, b.distinct_count,
+                        d)
 
 
 def sylm_term_bound(a: RootMultiset, b: RootMultiset, d: int) -> int:
@@ -492,8 +498,9 @@ def _integer_terms(a: RootMultiset, b: RootMultiset, d: int) -> tuple:
     Everything else comes from `_skeleton`, which depends on the shape
     (m, n, m̄, n̄, d) alone and is cached by it: the size triples, the R1
     blocks with λ1, and under each the partitions with σ, λ2 and λ3. The
-    cache holds at most `_SKELETON_BUDGET` partitions. So a call does value
-    work only, and a shape seen before costs no sign or partition.
+    cache holds at most `_SKELETON_BUDGET` partitions, and a shape with more
+    is streamed. So a call does value work only, and a shape seen before
+    costs no sign or partition.
 
     With x scaled by D too, a term is coeffs / V. Like the sum, each term is
     homogeneous of degree δ = (m-d)(n-d) + d in the roots and x: the ratio's

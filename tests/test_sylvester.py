@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
@@ -962,6 +963,24 @@ def test_skeleton_past_budget_is_used_not_kept(monkeypatch):
     for _ in range(2):
         assert list(sylm_terms(a, b, 0)) == list(ref_terms_general(a, b, 0))
         assert list(sylvester._skeletons) == [(2, 2, 1, 1, 0)]
+
+
+def test_skeleton_past_budget_is_streamed(monkeypatch):
+    # (8, 8, 1, 1, 0) holds 3,432 partitions, about 1.9 MB as tuples; past
+    # the budget it is walked one partition at a time
+    empty_skeleton_cache(monkeypatch)
+    monkeypatch.setattr(sylvester, "_SKELETON_BUDGET", 20)
+    tracemalloc.start()
+    try:
+        _, _, blocks = sylvester._skeleton(8, 8, 1, 1, 0)
+        walked = sum(1 for r1_blocks in blocks
+                     for _, parts in r1_blocks for _ in parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked == skeleton_size(8, 8, 1, 1, 0) == 3432
+    assert peak < 100_000
+    assert not sylvester._skeletons
 
 
 def test_skeleton_cache_is_empty_after_cli_import():
